@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__
 from .dataset import (
     LabeledDataset,
+    Origin,
     SyntheticConfig,
     generate_pretrain_superset,
     generate_synthetic,
-    load_embeddings,
     load_labeled_dataset,
     merge_datasets,
     write_embeddings,
@@ -38,9 +38,13 @@ from .harness import (
     TREND_SEEDS,
     ExperimentConfig,
     budget_sweep,
+    calibrate,
+    evaluate_model,
+    fit_space,
     occ_effect,
-    prepare,
     run_ablation,
+    select_rows,
+    split_pool,
     table_header,
     write_ablation_tables,
     write_budget_table,
@@ -53,38 +57,25 @@ from .lpft import (
     pretrain_backbone,
     write_alpha_table,
 )
-from .metrics import (
-    compute_metrics,
-    fit_grade_thresholds,
-    score_histogram,
-    write_histogram,
-)
+from .metrics import score_histogram, write_histogram
 from .model import (
-    CalibrationPrior,
     interpolate,
     load_checkpoint,
     predict_scores,
-    representations,
     save_checkpoint,
 )
 from .ood_select import (
     ThresholdPolicy,
-    build_index,
-    calibrate_thresholds,
-    fit_gaussian,
-    knn_distance_batch,
     load_thresholds,
-    mahalanobis_batch,
     save_thresholds,
-    select_ood,
     write_score_report,
 )
-from .util import canonical_json, sha256_file, sub_rng
+from .util import canonical_json, sha256_file
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run settings; every field has a default.
+class RunConfig(ExperimentConfig):
+    """Fully resolved run settings: the experiment plus the run-level fields.
 
     Precedence: built-in defaults, then the ``--config`` JSON file, then
     individual flags.  The resolved result is written into the run
@@ -92,34 +83,16 @@ class RunConfig:
     """
 
     seed: int = 7
-    corpus: SyntheticConfig = SyntheticConfig()
-    plan: StagePlan = StagePlan()
-    rho: float = 0.1
-    # run-level selector default matches the experiment harness; the
-    # library-level ThresholdPolicy default stays at the stricter 0.05
-    policy: ThresholdPolicy = ThresholdPolicy(mode="fpr", alpha_fpr=0.12)
     alpha: float = 0.6
-    eval_fraction: float = 0.2
     budgets: tuple[float, ...] = DEFAULT_BUDGETS
     trend_seeds: tuple[int, ...] = TREND_SEEDS
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["budgets"] = list(self.budgets)
-        out["trend_seeds"] = list(self.trend_seeds)
-        return out
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            corpus=self.corpus,
-            plan=self.plan,
-            rho=self.rho,
-            policy=self.policy,
-            eval_fraction=self.eval_fraction,
-        )
-
-    def prior(self) -> CalibrationPrior:
-        return CalibrationPrior(self.rho)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
+        if not (isinstance(self.alpha, (int, float)) and 0.0 <= self.alpha <= 1.0):
+            raise ConfigError("alpha", f"must be a number in [0, 1], got {self.alpha!r}")
 
 
 _SECTIONS = {
@@ -154,22 +127,8 @@ def _build_config(file_values: dict, overrides: dict) -> RunConfig:
         else:
             kwargs[name] = value
     config = RunConfig(**kwargs)
-
-    seed = overrides.get("seed")
-    if seed is not None:
-        config = dataclasses.replace(
-            config,
-            seed=seed,
-            corpus=dataclasses.replace(config.corpus, seed=seed),
-            plan=dataclasses.replace(config.plan, seed=seed),
-        )
-    else:
-        # keep the section seeds slaved to the top-level one
-        config = dataclasses.replace(
-            config,
-            corpus=dataclasses.replace(config.corpus, seed=config.seed),
-            plan=dataclasses.replace(config.plan, seed=config.seed),
-        )
+    seed = config.seed if overrides.get("seed") is None else overrides["seed"]
+    config = dataclasses.replace(config.for_seed(seed), seed=seed)
     if overrides.get("rho") is not None:
         config = dataclasses.replace(config, rho=overrides["rho"])
     if overrides.get("fpr") is not None:
@@ -178,11 +137,7 @@ def _build_config(file_values: dict, overrides: dict) -> RunConfig:
         )
     if overrides.get("alpha") is not None:
         config = dataclasses.replace(config, alpha=overrides["alpha"])
-    config.prior()
-    try:
-        config.corpus.validate()
-    except ConfigError:
-        raise
+    config.corpus.validate()
     return config
 
 
@@ -217,7 +172,7 @@ class _Run:
     def write_config(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         self.path("config.json").write_text(
-            canonical_json(self.config.to_dict()) + "\n", encoding="utf-8"
+            canonical_json(dataclasses.asdict(self.config)) + "\n", encoding="utf-8"
         )
         self.record("config.json")
 
@@ -234,22 +189,25 @@ class _Run:
     def load_backbone(self):
         return load_checkpoint(self.require("backbone.ckpt", "train --stage pretrain"))
 
-    def header(self, seeds) -> str:
-        return table_header(self.config.experiment(), seeds)
+    def header(self) -> str:
+        return table_header(self.config, [self.config.seed])
 
 
 def _representation_setup(run: _Run):
     """Backbone, ID statistics, and neighbor index shared by fit/select."""
-    theta = run.load_backbone()
-    train = run.load_dataset("train_id", "gen-data")
-    reps = representations(theta, train.embeddings.data)
-    return theta, fit_gaussian(reps), build_index(reps, train.ids)
+    backbone = run.load_backbone()
+    return (backbone, *fit_space(backbone, run.load_dataset("train_id", "gen-data")))
 
 
 def cmd_gen_data(run: _Run, args) -> None:
-    cfg = run.config.corpus
-    corpus = generate_synthetic(cfg)
-    superset = generate_pretrain_superset(cfg)
+    config = run.config
+    corpus = generate_synthetic(config.corpus)
+    # split before anything is written, so a pool that cannot feed the
+    # shifted evaluation sets leaves no run directory behind
+    select_truth, val_ood, test_ood = split_pool(
+        corpus.pool_truth, config.eval_fraction, config.seed
+    )
+    superset = generate_pretrain_superset(config.corpus)
     run.write_config()
     run.data.mkdir(parents=True, exist_ok=True)
     run.save_dataset(corpus.train_id, "train_id")
@@ -259,20 +217,12 @@ def cmd_gen_data(run: _Run, args) -> None:
     write_embeddings(corpus.pool_unlabeled, run.data / "pool.emb")
     write_labels(corpus.pool_truth, run.data / "pool_truth.tsv")
     run.record("data/pool.emb", "data/pool_truth.tsv")
-
-    # held-out evaluation split of the pool; selection only sees the rest
-    n_pool = corpus.pool_unlabeled.rows
-    perm = sub_rng(run.config.seed, "pool-eval-split").permutation(n_pool)
-    n_eval = int(round(run.config.eval_fraction * n_pool))
-    eval_truth = corpus.pool_truth.take(perm[:n_eval])
-    select_truth = corpus.pool_truth.take(perm[n_eval:])
-    ood_rows = np.flatnonzero(eval_truth.origin == 1)
-    half = ood_rows.size // 2
     run.save_dataset(select_truth, "select_truth")
-    run.save_dataset(eval_truth.take(ood_rows[:half]), "val_ood")
-    run.save_dataset(eval_truth.take(ood_rows[half:]), "test_ood")
-    print(f"gen-data: wrote corpus (pool {n_pool} rows, eval split {n_eval}) "
-          f"to {run.data}")
+    run.save_dataset(val_ood, "val_ood")
+    run.save_dataset(test_ood, "test_ood")
+    n_pool = corpus.pool_truth.rows
+    print(f"gen-data: wrote corpus (pool {n_pool} rows, eval split "
+          f"{n_pool - select_truth.rows}) to {run.data}")
 
 
 def cmd_train(run: _Run, args) -> None:
@@ -310,21 +260,14 @@ def cmd_train(run: _Run, args) -> None:
 
 
 def cmd_fit_ood(run: _Run, args) -> None:
-    theta, stats, index = _representation_setup(run)
-    val = run.load_dataset("val_id", "gen-data")
-    rep_val = representations(theta, val.embeddings.data)
-    vm = mahalanobis_batch(stats, rep_val)
-    vk = knn_distance_batch(index, rep_val)
+    backbone, stats, index = _representation_setup(run)
     policy = run.config.policy
-    if policy.mode == "f1":
-        val_ood = run.load_dataset("val_ood", "gen-data")
-        rep_ood = representations(theta, val_ood.embeddings.data)
-        thresholds = calibrate_thresholds(
-            vm, vk, policy,
-            mahalanobis_batch(stats, rep_ood), knn_distance_batch(index, rep_ood),
-        )
-    else:
-        thresholds = calibrate_thresholds(vm, vk, policy)
+    thresholds = calibrate(
+        backbone, stats, index,
+        run.load_dataset("val_id", "gen-data"),
+        run.load_dataset("val_ood", "gen-data"),
+        policy,
+    )
     save_thresholds(thresholds, run.path("thresholds.json"))
     run.record("thresholds.json")
     print(f"fit-ood: policy {policy.mode} -> d1 {thresholds.d1:.6g} "
@@ -333,16 +276,13 @@ def cmd_fit_ood(run: _Run, args) -> None:
 
 def cmd_select(run: _Run, args) -> None:
     thresholds = load_thresholds(run.require("thresholds.json", "fit-ood"))
-    theta, stats, index = _representation_setup(run)
+    backbone, stats, index = _representation_setup(run)
     select_truth = run.load_dataset("select_truth", "gen-data")
-    reps = representations(theta, select_truth.embeddings.data)
-    report = select_ood(reps, stats, index, thresholds, ids=select_truth.ids)
+    report, d_aug = select_rows(backbone, stats, index, thresholds, select_truth)
     write_score_report(report, run.path("score_report.tsv"))
-    # oracle labeling: selected rows keep their ground-truth grades
-    d_aug = select_truth.take(report.selected_indices)
     run.save_dataset(d_aug, "d_aug")
     run.record("score_report.tsv")
-    n_ood = int(np.count_nonzero(d_aug.origin == 1))
+    n_ood = int(np.count_nonzero(d_aug.origin == int(Origin.OOD)))
     print(f"select: {d_aug.rows} of {select_truth.rows} rows selected "
           f"({n_ood} true shifted) -> score_report.tsv, data/d_aug.*")
 
@@ -364,8 +304,7 @@ def cmd_sweep_alpha(run: _Run, args) -> None:
     val_id = run.load_dataset("val_id", "gen-data")
     val_ood = run.load_dataset("val_ood", "gen-data")
     result = alpha_sweep(phi_lp, phi_ft, run.config.plan.alpha_grid, val_id, val_ood)
-    write_alpha_table(result, run.path("alpha_sweep.tsv"),
-                      meta=run.header([run.config.seed]))
+    write_alpha_table(result, run.path("alpha_sweep.tsv"), meta=run.header())
     run.path("best_alpha.json").write_text(
         json.dumps({"best_alpha": result.best_alpha}) + "\n", encoding="utf-8"
     )
@@ -393,17 +332,15 @@ def _deployed_checkpoint(run: _Run):
 
 def cmd_eval(run: _Run, args) -> None:
     model, alpha = _deployed_checkpoint(run)
-    val_id = run.load_dataset("val_id", "gen-data")
-    test_id = run.load_dataset("test_id", "gen-data")
-    test_ood = run.load_dataset("test_ood", "gen-data")
-    scores_val = predict_scores(model, val_id.embeddings.data)
-    thresholds = fit_grade_thresholds(scores_val, val_id.grades)
-    lines = [f"# {run.header([run.config.seed])} alpha {alpha:g}"]
+    pair = evaluate_model(
+        model,
+        run.load_dataset("val_id", "gen-data"),
+        run.load_dataset("test_id", "gen-data"),
+        run.load_dataset("test_ood", "gen-data"),
+    )
+    lines = [f"# {run.header()} alpha {alpha:g}"]
     lines.append("split\tmacro_f1\taccuracy\tf1_ir\tf1_wr\tf1_sr\tn")
-    for split, data in (("id", test_id), ("ood", test_ood)):
-        m = compute_metrics(
-            predict_scores(model, data.embeddings.data), data.grades, thresholds
-        )
+    for split, m in (("id", pair.id_metrics), ("ood", pair.ood_metrics)):
         grade_f1 = {g.name: s.f1 for g, s in m.per_grade.items()}
         lines.append(
             f"{split}\t{m.macro_f1:.4f}\t{m.accuracy:.4f}"
@@ -427,8 +364,8 @@ def cmd_hist(run: _Run, args) -> None:
 
 
 def cmd_ablate(run: _Run, args) -> None:
-    config = run.config.experiment()
-    seeds = run.config.trend_seeds
+    config = run.config
+    seeds = config.trend_seeds
     tables = [run_ablation(config, seed) for seed in seeds]
     run.root.mkdir(parents=True, exist_ok=True)
     write_ablation_tables(tables, run.path("ablation.tsv"), config)
@@ -441,13 +378,13 @@ def cmd_ablate(run: _Run, args) -> None:
 
 
 def cmd_sweep_budget(run: _Run, args) -> None:
-    config = run.config.experiment()
-    seeds = run.config.trend_seeds
-    rows = {seed: budget_sweep(config, seed, run.config.budgets) for seed in seeds}
+    config = run.config
+    seeds = config.trend_seeds
+    rows = {seed: budget_sweep(config, seed, config.budgets) for seed in seeds}
     run.root.mkdir(parents=True, exist_ok=True)
     write_budget_table(rows, run.path("budget_sweep.tsv"), config)
     run.record("budget_sweep.tsv")
-    print(f"sweep-budget: {len(seeds)} seeds x {len(run.config.budgets)} budgets "
+    print(f"sweep-budget: {len(seeds)} seeds x {len(config.budgets)} budgets "
           f"-> budget_sweep.tsv")
 
 
@@ -547,7 +484,7 @@ def main(argv=None) -> int:
         }
         config = _build_config(file_values, overrides)
         if args.print_config:
-            print(canonical_json(config.to_dict()))
+            print(canonical_json(dataclasses.asdict(config)))
             return 0
         run = _Run(args.run_dir, config)
         _COMMANDS[args.command](run, args)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -102,10 +101,6 @@ class EmbeddingMatrix:
     def dims(self) -> int:
         return self.data.shape[1]
 
-    @cached_property
-    def row_of(self) -> dict[str, int]:
-        return {rid: i for i, rid in enumerate(self.ids)}
-
     def take(self, indices: Sequence[int]) -> "EmbeddingMatrix":
         idx = np.asarray(indices, dtype=np.intp)
         return EmbeddingMatrix(self.data[idx], tuple(self.ids[i] for i in idx))
@@ -147,11 +142,6 @@ class LabeledDataset:
         return LabeledDataset(
             self.embeddings.take(idx), self.grades[idx], self.origin[idx]
         )
-
-    def grade_counts(self) -> dict[RelevanceGrade, int]:
-        return {
-            g: int(np.count_nonzero(self.grades == int(g))) for g in RelevanceGrade
-        }
 
 
 @dataclass(frozen=True)
@@ -561,39 +551,3 @@ def merge_datasets(d_id: LabeledDataset, d_ood: LabeledDataset) -> LabeledDatase
         np.concatenate([d_id.grades, d_ood.grades]),
         np.concatenate([d_id.origin, d_ood.origin]),
     )
-
-
-def split_dataset(
-    dataset: LabeledDataset, fractions: Sequence[float], seed: int
-) -> list[LabeledDataset]:
-    """Deterministic stratified partition preserving the grade mix.
-
-    Rows are assigned per grade so each part's grade proportions track the
-    input's; any remainder when fractions sum below 1 is dropped.
-    """
-    if dataset.rows == 0:
-        raise DataFormatError("cannot split an empty dataset")
-    fracs = [float(f) for f in fractions]
-    if not fracs or any(f <= 0 for f in fracs):
-        raise ConfigError("fractions", f"must all be positive, got {fracs!r}")
-    if sum(fracs) > 1.0 + 1e-9:
-        raise ConfigError("fractions", f"sum {sum(fracs):.6f} exceeds 1")
-
-    cum = np.cumsum(fracs)
-    parts: list[list[np.ndarray]] = [[] for _ in fracs]
-    for g in RelevanceGrade:
-        rows = np.flatnonzero(dataset.grades == int(g))
-        if rows.size == 0:
-            continue
-        rows = rows[sub_rng(seed, "split", int(g)).permutation(rows.size)]
-        bounds = np.round(cum * rows.size).astype(int)
-        start = 0
-        for j, stop in enumerate(bounds):
-            parts[j].append(rows[start:stop])
-            start = stop
-    out = []
-    for j, chunks in enumerate(parts):
-        idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
-        idx = idx[sub_rng(seed, "split-order", j).permutation(idx.size)]
-        out.append(dataset.take(idx))
-    return out

@@ -9,6 +9,11 @@ Pool rows are split once per seed into a selection split and a held-out
 evaluation split; shifted-distribution validation and test sets are carved
 from the evaluation split's true out-of-distribution rows, so no row ever
 serves both selection and evaluation.
+
+The selection stages (``split_pool``, ``fit_space``, ``calibrate``,
+``select_rows``) are pure in-memory functions that the CLI shares: each
+subcommand loads its inputs from the run directory, calls one stage, and
+saves what it returns, while ``prepare`` chains them in memory.
 """
 
 from __future__ import annotations
@@ -34,12 +39,11 @@ from .errors import ConfigError, DataFormatError
 from .lpft import (
     AlphaSweepResult,
     StagePlan,
-    _dataset_arrays,
     alpha_sweep,
     full_finetune,
     linear_probe,
     pretrain_backbone,
-    run_training,
+    train_single_stage,
 )
 from .metrics import Metrics, compute_metrics, fit_grade_thresholds, score_histogram, wr_mid_fraction
 from .model import CalibrationPrior, ModelParams, interpolate, predict_scores, representations
@@ -132,49 +136,87 @@ class PreparedCorpus:
     d_aug: LabeledDataset
 
 
+def split_pool(
+    pool_truth: LabeledDataset, eval_fraction: float, seed: int
+) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
+    """Split the pool into (select_truth, val_ood, test_ood).
+
+    A seeded ``eval_fraction`` of the pool is held out from selection; its
+    true out-of-distribution rows are halved into the shifted validation and
+    test sets.
+    """
+    n_pool = pool_truth.rows
+    perm = sub_rng(seed, "pool-eval-split").permutation(n_pool)
+    n_eval = int(round(eval_fraction * n_pool))
+    eval_truth = pool_truth.take(perm[:n_eval])
+    select_truth = pool_truth.take(perm[n_eval:])
+    ood_rows = np.flatnonzero(eval_truth.origin == int(Origin.OOD))
+    if ood_rows.size < 2:
+        raise DataFormatError(
+            "evaluation split holds fewer than 2 true out-of-distribution rows "
+            "(raise eval_fraction, corpus.pool_size or corpus.pool_ood_fraction)"
+        )
+    half = ood_rows.size // 2
+    return select_truth, eval_truth.take(ood_rows[:half]), eval_truth.take(ood_rows[half:])
+
+
+def fit_space(
+    backbone: ModelParams, train_id: LabeledDataset
+) -> tuple[GaussianStats, NeighborIndex]:
+    """Gaussian statistics and neighbor index of the ID training representations."""
+    reps = representations(backbone, train_id.embeddings.data)
+    return fit_gaussian(reps), build_index(reps, train_id.ids)
+
+
+def _distances(backbone, stats, index, data: LabeledDataset):
+    """(Mahalanobis, kNN) distances of each row's representation."""
+    reps = representations(backbone, data.embeddings.data)
+    return mahalanobis_batch(stats, reps), knn_distance_batch(index, reps)
+
+
+def calibrate(
+    backbone: ModelParams,
+    stats: GaussianStats,
+    index: NeighborIndex,
+    val_id: LabeledDataset,
+    val_ood: LabeledDataset,
+    policy: ThresholdPolicy,
+) -> OodThresholds:
+    """Selection thresholds from ID validation distances (and, for the f1
+    policy, the shifted validation set's distances)."""
+    id_scores = _distances(backbone, stats, index, val_id)
+    ood_scores = _distances(backbone, stats, index, val_ood) if policy.mode == "f1" else ()
+    return calibrate_thresholds(*id_scores, policy, *ood_scores)
+
+
+def select_rows(
+    backbone: ModelParams,
+    stats: GaussianStats,
+    index: NeighborIndex,
+    thresholds: OodThresholds,
+    select_truth: LabeledDataset,
+) -> tuple[SelectionReport, LabeledDataset]:
+    """Score the selection split; the selected rows keep their true grades
+    (oracle labeling) and form the augmentation set."""
+    reps = representations(backbone, select_truth.embeddings.data)
+    report = select_ood(reps, stats, index, thresholds, ids=select_truth.ids)
+    return report, select_truth.take(report.selected_indices)
+
+
 @lru_cache(maxsize=8)
 def prepare(config: ExperimentConfig, seed: int) -> PreparedCorpus:
     """Generate, pretrain, calibrate, and select for one seed (cached)."""
     cfg = config.for_seed(seed)
     corpus = generate_synthetic(cfg.corpus)
-    superset = generate_pretrain_superset(cfg.corpus)
-    backbone, _ = pretrain_backbone(superset, cfg.plan)
-
-    rep_train = representations(backbone, corpus.train_id.embeddings.data)
-    rep_val = representations(backbone, corpus.val_id.embeddings.data)
-    stats = fit_gaussian(rep_train)
-    index = build_index(rep_train, corpus.train_id.ids)
-
-    n_pool = corpus.pool_unlabeled.rows
-    perm = sub_rng(seed, "pool-eval-split").permutation(n_pool)
-    n_eval = int(round(config.eval_fraction * n_pool))
-    eval_truth = corpus.pool_truth.take(perm[:n_eval])
-    select_truth = corpus.pool_truth.take(perm[n_eval:])
-
-    ood_rows = np.flatnonzero(eval_truth.origin == int(Origin.OOD))
-    if ood_rows.size < 2:
-        raise DataFormatError(
-            "evaluation split holds fewer than 2 true out-of-distribution rows"
-        )
-    half = ood_rows.size // 2
-    val_ood = eval_truth.take(ood_rows[:half])
-    test_ood = eval_truth.take(ood_rows[half:])
-
-    vm = mahalanobis_batch(stats, rep_val)
-    vk = knn_distance_batch(index, rep_val)
-    if config.policy.mode == "f1":
-        rep_ood = representations(backbone, val_ood.embeddings.data)
-        thresholds = calibrate_thresholds(
-            vm, vk, config.policy,
-            mahalanobis_batch(stats, rep_ood), knn_distance_batch(index, rep_ood),
-        )
-    else:
-        thresholds = calibrate_thresholds(vm, vk, config.policy)
-
-    rep_pool = representations(backbone, select_truth.embeddings.data)
-    report = select_ood(rep_pool, stats, index, thresholds, ids=select_truth.ids)
-    d_aug = select_truth.take(report.selected_indices)
-
+    backbone, _ = pretrain_backbone(generate_pretrain_superset(cfg.corpus), cfg.plan)
+    select_truth, val_ood, test_ood = split_pool(
+        corpus.pool_truth, config.eval_fraction, seed
+    )
+    stats, index = fit_space(backbone, corpus.train_id)
+    thresholds = calibrate(
+        backbone, stats, index, corpus.val_id, val_ood, config.policy
+    )
+    report, d_aug = select_rows(backbone, stats, index, thresholds, select_truth)
     return PreparedCorpus(
         config=config,
         seed=seed,
@@ -189,33 +231,6 @@ def prepare(config: ExperimentConfig, seed: int) -> PreparedCorpus:
         report=report,
         d_aug=d_aug,
     )
-
-
-def train_single_stage(
-    backbone: ModelParams,
-    data: LabeledDataset,
-    prior: CalibrationPrior | None,
-    plan: StagePlan,
-    stage: str = "single-stage",
-    epochs: int | None = None,
-    lr: float | None = None,
-) -> ModelParams:
-    """One all-parameter training pass from the pretrained backbone.
-
-    This is the non-staged counterpart of probe-then-finetune: a fresh zero
-    head plus the backbone, trained jointly.  Defaults to the plan's
-    fine-tune budget, so ladder rungs 1-3 differ from rung 4 only by the
-    probe stage and the blend.
-    """
-    x, grades = _dataset_arrays(data)
-    params, _ = run_training(
-        backbone, x, grades, prior,
-        epochs=plan.ft_epochs if epochs is None else epochs,
-        lr=plan.ft_lr if lr is None else lr,
-        trainable="all",
-        batch_size=plan.batch_size, seed=plan.seed, stage=stage,
-    )
-    return params
 
 
 @dataclass(frozen=True)
@@ -357,7 +372,6 @@ def budget_sweep(
     config: ExperimentConfig,
     seed: int,
     budgets=DEFAULT_BUDGETS,
-    strategies=("dasa", "random"),
 ) -> tuple[BudgetRow, ...]:
     """Equal-budget comparison of ranked selection against random draws.
 
@@ -387,13 +401,11 @@ def budget_sweep(
             raise DataFormatError(
                 f"budget {b:g} asks for {take} rows but the pool has {n_pool}"
             )
-        for strategy in strategies:
-            if strategy == "dasa":
-                picked = ranked[: min(take, ranked.size)]
-            elif strategy == "random":
-                picked = random_order[:take]
-            else:
-                raise ConfigError("strategies", f"unknown strategy {strategy!r}")
+        strategies = {
+            "dasa": ranked[: min(take, ranked.size)],
+            "random": random_order[:take],
+        }
+        for strategy, picked in strategies.items():
             d_aug = prep.select_truth.take(picked)
             merged = merge_datasets(prep.corpus.train_id, d_aug)
             model = train_single_stage(

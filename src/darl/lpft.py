@@ -119,9 +119,7 @@ def run_training(
 
 
 def pretrain_backbone(
-    superset: LabeledDataset,
-    plan: StagePlan,
-    arch: ModelArch | None = None,
+    superset: LabeledDataset, plan: StagePlan
 ) -> tuple[ModelParams, list[LossValues]]:
     """Supervised pretraining on the broad superset; head is discarded.
 
@@ -135,13 +133,7 @@ def pretrain_backbone(
     distance-based selector depends on; a boosted head absorbs that scale
     instead, keeping representations close to the input geometry.
     """
-    if arch is None:
-        arch = ModelArch(input_dims=superset.embeddings.dims)
-    if arch.input_dims != superset.embeddings.dims:
-        raise ConfigError(
-            "arch", f"input_dims {arch.input_dims} does not match superset "
-            f"dims {superset.embeddings.dims}"
-        )
+    arch = ModelArch(input_dims=superset.embeddings.dims)
     params = init_model(arch, plan.seed)
     boosted = params.values.copy()
     boosted[arch.backbone_count :] *= plan.head_boost
@@ -205,6 +197,33 @@ def full_finetune(
         epochs=plan.ft_epochs, lr=plan.ft_lr, trainable="all",
         batch_size=plan.batch_size, seed=plan.seed, stage="ft",
     )
+
+
+def train_single_stage(
+    backbone: ModelParams,
+    data: LabeledDataset,
+    prior: CalibrationPrior | None,
+    plan: StagePlan,
+    stage: str = "single-stage",
+    epochs: int | None = None,
+    lr: float | None = None,
+) -> ModelParams:
+    """One all-parameter training pass from the pretrained backbone.
+
+    This is the non-staged counterpart of probe-then-finetune: a fresh zero
+    head plus the backbone, trained jointly.  Defaults to the plan's
+    fine-tune budget, so ladder rungs 1-3 differ from rung 4 only by the
+    probe stage and the blend.
+    """
+    x, grades = _dataset_arrays(data)
+    params, _ = run_training(
+        backbone, x, grades, prior,
+        epochs=plan.ft_epochs if epochs is None else epochs,
+        lr=plan.ft_lr if lr is None else lr,
+        trainable="all",
+        batch_size=plan.batch_size, seed=plan.seed, stage=stage,
+    )
+    return params
 
 
 @dataclass(frozen=True)

@@ -208,12 +208,6 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
     return ForwardResult(probs=probs, logits=logits, reps=activations[-1])
 
 
-def forward(params: ModelParams, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Single-sample scorer output: (probability, representation)."""
-    result = forward_batch(params, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return float(result.probs[0]), result.reps[0]
-
-
 def representations(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Penultimate-layer activations, the space used for OOD scoring."""
     return forward_batch(params, x).reps
@@ -494,7 +488,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write(body + struct.pack("<I", crc))
 
 
-def load_checkpoint(path, expected_arch: ModelArch | None = None) -> ModelParams:
+def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint back, verifying CRC, shape, and fingerprint."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -531,11 +525,6 @@ def load_checkpoint(path, expected_arch: ModelArch | None = None) -> ModelParams
         raise CheckpointError(f"invalid checkpoint architecture: {exc}") from exc
     if stored_print != arch.fingerprint():
         raise CheckpointError("architecture fingerprint does not match descriptor")
-    if expected_arch is not None and arch != expected_arch:
-        raise CheckpointError(
-            f"checkpoint architecture {arch.descriptor()} does not match "
-            f"expected {expected_arch.descriptor()}"
-        )
     need(offset, 8)
     (count,) = struct.unpack_from("<Q", blob, offset)
     offset += 8

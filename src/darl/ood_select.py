@@ -115,10 +115,6 @@ def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(solved * solved, axis=0))
 
 
-def mahalanobis(stats: GaussianStats, x: np.ndarray) -> float:
-    return float(mahalanobis_batch(stats, np.asarray(x))[0])
-
-
 @dataclass(frozen=True)
 class NeighborIndex:
     """Unit-normalized reference rows for exact cosine nearest neighbor."""
@@ -187,10 +183,6 @@ def knn_distance_batch(
         sims = block @ index.vectors.T
         out[start : start + chunk] = 1.0 - sims.max(axis=1)
     return np.clip(out, 0.0, 2.0)
-
-
-def knn_distance(index: NeighborIndex, x: np.ndarray) -> float:
-    return float(knn_distance_batch(index, np.asarray(x))[0])
 
 
 @dataclass(frozen=True)
@@ -353,12 +345,6 @@ class SelectionReport:
     selected: np.ndarray
 
     @property
-    def selected_ids(self) -> tuple[str, ...]:
-        return tuple(
-            self.ids[i] for i in np.flatnonzero(self.selected)
-        )
-
-    @property
     def selected_indices(self) -> np.ndarray:
         return np.flatnonzero(self.selected)
 
@@ -430,34 +416,3 @@ def write_score_report(report: SelectionReport, path) -> None:
             f"{int(report.selected[i])}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_score_report(path) -> SelectionReport:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != "id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected":
-        raise DataFormatError(f"bad score report header in {path}")
-    ids: list[str] = []
-    cols: list[list[float]] = [[], [], [], [], []]
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise DataFormatError(
-                f"score report line {ln} has {len(parts)} fields, expected 6"
-            )
-        ids.append(parts[0])
-        try:
-            for j in range(5):
-                cols[j].append(float(parts[j + 1]))
-        except ValueError as exc:
-            raise DataFormatError(
-                f"score report line {ln}: {exc}"
-            ) from exc
-    return SelectionReport(
-        ids=tuple(ids),
-        mahal=np.array(cols[0], dtype=np.float64),
-        knn=np.array(cols[1], dtype=np.float64),
-        flag_mahal=np.array(cols[2], dtype=bool),
-        flag_knn=np.array(cols[3], dtype=bool),
-        selected=np.array(cols[4], dtype=bool),
-    )

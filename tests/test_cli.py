@@ -143,6 +143,29 @@ def test_invalid_rho_override(tmp_path, capsys):
     assert "rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"eval_fraction": 1.5}, "eval_fraction"),
+        ({"eval_fraction": 0}, "eval_fraction"),
+        ({"corpus": {**TINY_JSON["corpus"], "pool_ood_fraction": 0}}, "pool_ood_fraction"),
+        ({"seed": "x"}, "seed"),
+        ({"alpha": 2}, "alpha"),
+    ],
+    ids=["eval_fraction-above-1", "eval_fraction-zero", "no-pool-ood", "seed", "alpha"],
+)
+def test_bad_config_is_rejected_before_any_file(tmp_path, capsys, payload, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    assert main(["gen-data", "--config", str(path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert list(run_dir.iterdir()) == []
+
+
 def test_select_before_fit_ood(tmp_path, capsys):
     code = main(["select", "--run-dir", str(tmp_path / "empty")])
     assert code == 1

@@ -23,7 +23,6 @@ from darl.dataset import (
     load_labeled_dataset,
     load_labels,
     merge_datasets,
-    split_dataset,
     write_embeddings,
     write_labels,
 )
@@ -67,7 +66,7 @@ def test_origin_token_round_trip():
 def test_embedding_matrix_basic_shape():
     m = EmbeddingMatrix(np.arange(6, dtype=np.float32).reshape(2, 3), ("a", "b"))
     assert m.rows == 2 and m.dims == 3
-    assert m.row_of == {"a": 0, "b": 1}
+    assert m.ids == ("a", "b")
 
 
 def test_embedding_matrix_rejects_bad_inputs():
@@ -107,14 +106,6 @@ def test_labeled_dataset_validates_lengths_and_ranges():
         LabeledDataset(emb, np.array([0, 3], dtype=np.int8), np.zeros(2, dtype=np.int8))
     with pytest.raises(DataFormatError):
         LabeledDataset(emb, np.zeros(2, dtype=np.int8), np.array([0, 2], dtype=np.int8))
-
-
-def test_labeled_dataset_grade_counts():
-    d = make_dataset(50, 4, seed=0)
-    counts = d.grade_counts()
-    assert sum(counts.values()) == 50
-    for g in RelevanceGrade:
-        assert counts[g] == int(np.count_nonzero(d.grades == int(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,7 @@ def test_default_pool_ood_fraction_within_one_point(default_corpus):
 
 def test_default_grade_mix_tracks_targets(default_corpus):
     # planted rules are calibrated toward the SR/WR/IR mix; noise moves it a little
-    counts = default_corpus.train_id.grade_counts()
+    counts = np.bincount(default_corpus.train_id.grades, minlength=3)
     n = default_corpus.train_id.rows
     assert abs(counts[RelevanceGrade.SR] / n - GRADE_MIX["SR"]) < 0.05
     assert abs(counts[RelevanceGrade.IR] / n - GRADE_MIX["IR"]) < 0.05
@@ -481,75 +472,3 @@ def test_merge_does_not_mutate_inputs():
     a_bytes = a.embeddings.data.tobytes()
     merge_datasets(a, b)
     assert a.embeddings.data.tobytes() == a_bytes
-
-
-# ---------------------------------------------------------------------------
-# split
-
-
-def test_split_single_fraction_is_whole_dataset():
-    d = make_dataset(40, 3, seed=16)
-    (part,) = split_dataset(d, [1.0], seed=1)
-    assert part.rows == d.rows
-    assert sorted(part.ids) == sorted(d.ids)
-
-
-def test_split_half_half_on_100_rows():
-    # even per-grade counts (40/30/30) so each half is exactly 50
-    rng = np.random.default_rng(17)
-    grades = np.array([0] * 40 + [1] * 30 + [2] * 30, dtype=np.int8)
-    emb = EmbeddingMatrix(
-        rng.standard_normal((100, 3)).astype(np.float32),
-        tuple(f"h{i}" for i in range(100)),
-    )
-    d = LabeledDataset(emb, grades, np.zeros(100, dtype=np.int8))
-    parts = split_dataset(d, [0.5, 0.5], seed=2)
-    assert [p.rows for p in parts] == [50, 50]
-    assert set(parts[0].ids).isdisjoint(parts[1].ids)
-
-
-def test_split_preserves_grade_mix_within_two_points():
-    # 80/10/10 mix, halved: each part stays within 2 points absolute
-    rng = np.random.default_rng(18)
-    n = 1000
-    grades = np.array([0] * 800 + [1] * 100 + [2] * 100, dtype=np.int8)
-    rng.shuffle(grades)
-    emb = EmbeddingMatrix(
-        rng.standard_normal((n, 2)).astype(np.float32),
-        tuple(f"s{i}" for i in range(n)),
-    )
-    d = LabeledDataset(emb, grades, np.zeros(n, dtype=np.int8))
-    for part in split_dataset(d, [0.5, 0.5], seed=3):
-        for value, target in ((0, 0.8), (1, 0.1), (2, 0.1)):
-            frac = np.count_nonzero(part.grades == value) / part.rows
-            assert abs(frac - target) <= 0.02
-
-
-def test_split_is_deterministic():
-    d = make_dataset(60, 3, seed=19)
-    a = split_dataset(d, [0.3, 0.7], seed=4)
-    b = split_dataset(d, [0.3, 0.7], seed=4)
-    assert [p.ids for p in a] == [p.ids for p in b]
-
-
-def test_split_validation_errors():
-    d = make_dataset(10, 2, seed=20)
-    with pytest.raises(ConfigError):
-        split_dataset(d, [0.6, 0.6], seed=0)
-    with pytest.raises(ConfigError):
-        split_dataset(d, [], seed=0)
-    with pytest.raises(ConfigError):
-        split_dataset(d, [-0.1, 0.5], seed=0)
-    with pytest.raises(DataFormatError):
-        split_dataset(d.take([]), [1.0], seed=0)
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(10, 80))
-def test_split_parts_partition_the_dataset(seed, n):
-    d = make_dataset(n, 2, seed=21)
-    parts = split_dataset(d, [0.25, 0.25, 0.5], seed=seed)
-    ids = [rid for p in parts for rid in p.ids]
-    assert len(ids) == len(set(ids)) == n
-    assert set(ids) == set(d.ids)
-    for p in parts:
-        assert p.embeddings.rows == p.grades.shape[0] == p.origin.shape[0]

@@ -101,7 +101,7 @@ def test_prepare_split_sizes():
 @pytest.mark.slow
 def test_prepare_selection_is_internally_consistent():
     prep = prepare(CONFIG, 11)
-    assert prep.d_aug.ids == prep.report.selected_ids
+    assert prep.d_aug.ids == tuple(prep.report.ids[i] for i in prep.report.selected_indices)
     assert set(prep.d_aug.ids).issubset(set(prep.select_truth.ids))
     assert prep.thresholds.policy == "fpr"
     assert prep.backbone.arch.input_dims == CONFIG.corpus.dims
@@ -181,8 +181,6 @@ def test_budget_zero_makes_strategies_identical():
 def test_budget_sweep_validation():
     with pytest.raises(ConfigError, match="budgets"):
         budget_sweep(CONFIG, 11, budgets=(-0.25,))
-    with pytest.raises(ConfigError, match="strategy"):
-        budget_sweep(CONFIG, 11, budgets=(0.0,), strategies=("bogus",))
 
 
 # ---------------------------------------------------------------------------

@@ -156,11 +156,6 @@ def test_pretrain_head_boost_shapes_the_backbone(tiny_superset):
     assert not np.array_equal(base.backbone, boosted.backbone)
 
 
-def test_pretrain_rejects_mismatched_arch(tiny_superset):
-    with pytest.raises(ConfigError):
-        pretrain_backbone(tiny_superset, TINY_PLAN, arch=ModelArch(4, (6,)))
-
-
 # ---------------------------------------------------------------------------
 # probe and finetune
 

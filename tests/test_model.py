@@ -444,16 +444,6 @@ def test_checkpoint_round_trip(tmp_path):
     back = load_checkpoint(path)
     assert back.arch == SMALL
     np.testing.assert_array_equal(back.values, params.values)
-    same = load_checkpoint(path, expected_arch=SMALL)
-    np.testing.assert_array_equal(same.values, params.values)
-
-
-def test_checkpoint_arch_mismatch(tmp_path):
-    params = init_model(SMALL, seed=31)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, expected_arch=ModelArch(4, (5, 4)))
 
 
 def _saved_blob(tmp_path) -> bytearray:

@@ -23,11 +23,8 @@ from darl.ood_select import (
     calibrate_thresholds,
     dasa_order,
     fit_gaussian,
-    knn_distance,
     knn_distance_batch,
-    load_score_report,
     load_thresholds,
-    mahalanobis,
     mahalanobis_batch,
     save_thresholds,
     score_pool,
@@ -59,7 +56,7 @@ def test_fit_gaussian_degenerate_needs_ridge():
     repeated = np.tile([1.0, 2.0], (10, 1))
     stats = fit_gaussian(repeated, ridge=1e-3)
     np.testing.assert_allclose(stats.covariance, 0.0)
-    assert mahalanobis(stats, [1.0, 2.0]) == 0.0
+    assert mahalanobis_batch(stats, [1.0, 2.0])[0] == 0.0
     with pytest.raises(SingularCovarianceError, match="ridge"):
         fit_gaussian(repeated, ridge=0.0)
 
@@ -76,7 +73,7 @@ def test_fit_gaussian_input_validation():
 def test_fit_gaussian_single_row():
     stats = fit_gaussian(np.array([[3.0, 4.0]]), ridge=1.0)
     np.testing.assert_allclose(stats.covariance, 0.0)
-    assert mahalanobis(stats, [3.0, 5.0]) == pytest.approx(1.0)
+    assert mahalanobis_batch(stats, [3.0, 5.0])[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +90,8 @@ def unit_stats(dims):
 
 
 def test_mahalanobis_identity_covariance_is_euclidean():
-    assert mahalanobis(unit_stats(2), [3.0, 4.0]) == pytest.approx(5.0)
-    assert mahalanobis(unit_stats(2), [0.0, 0.0]) == 0.0
+    assert mahalanobis_batch(unit_stats(2), [3.0, 4.0])[0] == pytest.approx(5.0)
+    assert mahalanobis_batch(unit_stats(2), [0.0, 0.0])[0] == 0.0
 
 
 def test_mahalanobis_diagonal_covariance():
@@ -105,7 +102,7 @@ def test_mahalanobis_diagonal_covariance():
         chol_lower=np.diag([2.0, 1.0]),
     )
     # [2, 1] is one standard deviation out on each axis
-    assert mahalanobis(stats, [2.0, 1.0]) == pytest.approx(np.sqrt(2.0))
+    assert mahalanobis_batch(stats, [2.0, 1.0])[0] == pytest.approx(np.sqrt(2.0))
 
 
 def test_mahalanobis_batch_matches_explicit_inverse():
@@ -145,11 +142,11 @@ def test_mahalanobis_query_validation():
 
 def test_knn_hand_values():
     index = build_index(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert knn_distance(index, [5.0, 0.0]) == pytest.approx(0.0)
+    assert knn_distance_batch(index, [5.0, 0.0])[0] == pytest.approx(0.0)
     # nearest of the two axes wins: cos = 0.8 against [0, 1]
-    assert knn_distance(index, [3.0, 4.0]) == pytest.approx(1.0 - 0.8)
+    assert knn_distance_batch(index, [3.0, 4.0])[0] == pytest.approx(1.0 - 0.8)
     single = build_index(np.array([[1.0, 0.0]]))
-    assert knn_distance(single, [0.0, 7.0]) == pytest.approx(1.0)
+    assert knn_distance_batch(single, [0.0, 7.0])[0] == pytest.approx(1.0)
 
 
 def test_knn_stored_row_has_zero_distance():
@@ -163,7 +160,7 @@ def test_knn_stored_row_has_zero_distance():
 
 def test_knn_antipodal_distance_is_two():
     index = build_index(np.array([[1.0, 0.0]]))
-    assert knn_distance(index, [-2.0, 0.0]) == pytest.approx(2.0)
+    assert knn_distance_batch(index, [-2.0, 0.0])[0] == pytest.approx(2.0)
 
 
 def test_knn_is_scale_invariant():
@@ -208,7 +205,7 @@ def test_knn_rejects_zero_norm_query():
 def test_build_index_accepts_duplicate_rows():
     index = build_index(np.array([[1.0, 0.0], [2.0, 0.0]]))
     assert index.rows == 2
-    assert knn_distance(index, [9.0, 0.0]) == pytest.approx(0.0)
+    assert knn_distance_batch(index, [9.0, 0.0])[0] == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +338,7 @@ def test_select_strict_thresholds_are_empty():
     # d2 = 2 can never be strictly exceeded; nothing selects
     report = select_ood(pool, stats, index, OodThresholds(1e18, 2.0, "manual"))
     assert report.selected.sum() == 0
-    assert report.selected_ids == ()
+    assert report.selected_indices.size == 0
 
 
 def test_select_loose_thresholds_take_everything_far():
@@ -380,7 +377,9 @@ def test_select_is_row_order_independent():
     shuffled = select_ood(
         pool[perm], stats, index, thr, ids=tuple(ids[i] for i in perm)
     )
-    assert set(direct.selected_ids) == set(shuffled.selected_ids)
+    assert {direct.ids[i] for i in direct.selected_indices} == {
+        shuffled.ids[i] for i in shuffled.selected_indices
+    }
 
 
 def test_raising_thresholds_never_adds_rows():
@@ -389,7 +388,7 @@ def test_raising_thresholds_never_adds_rows():
     index = build_index(train)
     loose = select_ood(pool, stats, index, OodThresholds(2.0, 0.02, "manual"))
     tight = select_ood(pool, stats, index, OodThresholds(4.0, 0.10, "manual"))
-    assert set(tight.selected_ids).issubset(set(loose.selected_ids))
+    assert set(tight.selected_indices).issubset(set(loose.selected_indices))
 
 
 def test_score_pool_dimension_check():
@@ -459,28 +458,12 @@ def test_score_report_round_trip(tmp_path):
     report = select_ood(pool, stats, index, OodThresholds(3.0, 0.05, "manual"), ids=ids)
     path = tmp_path / "scores.tsv"
     write_score_report(report, path)
-    back = load_score_report(path)
-    assert back.ids == report.ids
-    np.testing.assert_allclose(back.mahal, report.mahal, rtol=1e-5)
-    np.testing.assert_allclose(back.knn, report.knn, rtol=1e-5)
-    np.testing.assert_array_equal(back.selected, report.selected)
-    np.testing.assert_array_equal(back.flag_mahal, report.flag_mahal)
-
-
-def test_score_report_rejects_malformed_files(tmp_path):
-    path = tmp_path / "scores.tsv"
-    path.write_text("wrong\theader\n", encoding="utf-8")
-    with pytest.raises(DataFormatError):
-        load_score_report(path)
-    path.write_text(
-        "id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected\na\t1.0\t0.5\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(DataFormatError, match="line 2"):
-        load_score_report(path)
-    path.write_text(
-        "id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected\na\tx\t0.5\t0\t0\t0\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(DataFormatError):
-        load_score_report(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected"
+    cells = [line.split("\t") for line in lines[1:]]
+    assert tuple(c[0] for c in cells) == report.ids
+    back = np.array([[float(v) for v in c[1:]] for c in cells])
+    np.testing.assert_allclose(back[:, 0], report.mahal, rtol=1e-5)
+    np.testing.assert_allclose(back[:, 1], report.knn, rtol=1e-5)
+    np.testing.assert_array_equal(back[:, 4].astype(bool), report.selected)
+    np.testing.assert_array_equal(back[:, 2].astype(bool), report.flag_mahal)

@@ -1,0 +1,52 @@
+"""Static checks on the package source: no dead imports, no private cross-module imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "darl").glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(tree: ast.Module):
+    """(bound name, imported name, is package-internal) per import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, False
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            internal = node.level > 0 or (node.module or "").startswith("darl")
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, internal
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = sorted(bound for bound, _, _ in _imports(tree) if bound not in used)
+    assert unused == [], f"{path.name} imports names it never uses"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_cross_modules(path):
+    private = sorted(
+        name
+        for _, name, internal in _imports(_tree(path))
+        if internal and name.startswith("_") and not name.startswith("__")
+    )
+    assert private == [], f"{path.name} imports another module's private names"
