@@ -24,7 +24,6 @@ from . import __version__
 from .dataset import (
     LabeledDataset,
     Origin,
-    SyntheticConfig,
     generate_pretrain_superset,
     generate_synthetic,
     load_labeled_dataset,
@@ -50,7 +49,6 @@ from .harness import (
     write_budget_table,
 )
 from .lpft import (
-    StagePlan,
     alpha_sweep,
     full_finetune,
     linear_probe,
@@ -65,7 +63,6 @@ from .model import (
     save_checkpoint,
 )
 from .ood_select import (
-    ThresholdPolicy,
     load_thresholds,
     save_thresholds,
     write_score_report,
@@ -95,37 +92,54 @@ class RunConfig(ExperimentConfig):
             raise ConfigError("alpha", f"must be a number in [0, 1], got {self.alpha!r}")
 
 
-_SECTIONS = {
-    "corpus": SyntheticConfig,
-    "plan": StagePlan,
-    "policy": ThresholdPolicy,
-}
+def _typed(key: str, value, default):
+    """``value`` checked against the JSON type of ``default``; lists become tuples."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(key, f"must be a list, got {value!r}")
+        return tuple(_typed(key, item, default[0]) for item in value)
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kind = "a number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(key, f"must be {kind}, got {value!r}")
+    return value
 
 
 def _build_config(file_values: dict, overrides: dict) -> RunConfig:
-    """Merge defaults, config-file values, and flag overrides."""
+    """Merge defaults, config-file values, and flag overrides.
+
+    A section given in the file starts from the run default of that
+    section, so keys it leaves out keep their run defaults.
+    """
+    defaults = RunConfig()
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(file_values) - known
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown config key")
     kwargs: dict = {}
     for name, value in file_values.items():
-        if name in _SECTIONS:
+        default = getattr(defaults, name)
+        if dataclasses.is_dataclass(default):
             if not isinstance(value, dict):
                 raise ConfigError(name, "must be a JSON object")
-            section = _SECTIONS[name]
-            valid = {f.name for f in dataclasses.fields(section)}
+            valid = {f.name for f in dataclasses.fields(default)}
             bad = set(value) - valid
             if bad:
                 raise ConfigError(f"{name}.{sorted(bad)[0]}", "unknown config key")
             typed = {
-                k: tuple(v) if isinstance(v, list) else v for k, v in value.items()
+                k: _typed(f"{name}.{k}", v, getattr(default, k))
+                for k, v in value.items()
             }
-            kwargs[name] = section(**typed)
-        elif name in ("budgets", "trend_seeds"):
-            kwargs[name] = tuple(value)
+            kwargs[name] = dataclasses.replace(default, **typed)
         else:
-            kwargs[name] = value
+            kwargs[name] = _typed(name, value, default)
     config = RunConfig(**kwargs)
     seed = config.seed if overrides.get("seed") is None else overrides["seed"]
     config = dataclasses.replace(config.for_seed(seed), seed=seed)

@@ -45,24 +45,17 @@ class RelevanceGrade(enum.IntEnum):
     WR = 1
     SR = 2
 
-    @classmethod
-    def from_token(cls, token: str) -> "RelevanceGrade":
-        try:
-            return cls[token]
-        except KeyError:
-            raise DataFormatError(f"unknown grade token {token!r}") from None
-
 
 class Origin(enum.IntEnum):
     ID = 0
     OOD = 1
 
-    @classmethod
-    def from_token(cls, token: str) -> "Origin":
-        try:
-            return cls[token]
-        except KeyError:
-            raise DataFormatError(f"unknown origin token {token!r}") from None
+
+# token <-> member tables for the label TSV; codes index the token lists
+_GRADE_TOKENS = [grade.name for grade in sorted(RelevanceGrade)]
+_ORIGIN_TOKENS = [origin.name for origin in sorted(Origin)]
+_GRADES = {grade.name: grade for grade in RelevanceGrade}
+_ORIGINS = {origin.name: origin for origin in Origin}
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -103,7 +96,8 @@ class EmbeddingMatrix:
 
     def take(self, indices: Sequence[int]) -> "EmbeddingMatrix":
         idx = np.asarray(indices, dtype=np.intp)
-        return EmbeddingMatrix(self.data[idx], tuple(self.ids[i] for i in idx))
+        ids = tuple(map(self.ids.__getitem__, idx.tolist()))
+        return EmbeddingMatrix(self.data[idx], ids)
 
 
 @dataclass(frozen=True)
@@ -413,16 +407,25 @@ def generate_pretrain_superset(config: SyntheticConfig) -> LabeledDataset:
 
 def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Write the binary embedding format (magic, header, f32 payload, ids)."""
-    parts = [EMBEDDING_MAGIC, struct.pack("<II", matrix.rows, matrix.dims)]
-    parts.append(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
-    parts.append(struct.pack("<I", matrix.rows))
-    for rid in matrix.ids:
-        raw = rid.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise DataFormatError(f"id too long to serialize: {rid[:32]!r}...")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-    Path(path).write_bytes(b"".join(parts))
+    raws = [rid.encode("utf-8") for rid in matrix.ids]
+    lengths = np.fromiter(map(len, raws), dtype=np.int64, count=len(raws))
+    too_long = np.flatnonzero(lengths > 0xFFFF)
+    if too_long.size:
+        rid = matrix.ids[int(too_long[0])]
+        raise DataFormatError(f"id too long to serialize: {rid[:32]!r}...")
+    # every id is its u16 byte length (little-endian) followed by its bytes
+    id_block = np.insert(
+        np.frombuffer(b"".join(raws), dtype=np.uint8),
+        np.repeat(np.cumsum(lengths) - lengths, 2),
+        lengths.astype("<u2").view(np.uint8),
+    )
+    Path(path).write_bytes(b"".join([
+        EMBEDDING_MAGIC,
+        struct.pack("<II", matrix.rows, matrix.dims),
+        np.ascontiguousarray(matrix.data, dtype="<f4").tobytes(),
+        struct.pack("<I", matrix.rows),
+        id_block.tobytes(),
+    ]))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
@@ -458,32 +461,30 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             f"id count {id_count} does not match {rows} rows", offset=offset - 4
         )
     ids = []
+    size = len(blob)
     for _ in range(rows):
-        if len(blob) < offset + 2:
-            raise TruncatedPayloadError("truncated id length", offset=len(blob))
-        (ln,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if len(blob) < offset + ln:
-            raise TruncatedPayloadError("truncated id string", offset=len(blob))
+        if size < offset + 2:
+            raise TruncatedPayloadError("truncated id length", offset=size)
+        start = offset + 2
+        offset = start + (blob[offset] | blob[offset + 1] << 8)
+        if size < offset:
+            raise TruncatedPayloadError("truncated id string", offset=size)
         try:
-            ids.append(blob[offset : offset + ln].decode("utf-8"))
+            ids.append(blob[start:offset].decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise DataFormatError(f"id is not valid UTF-8: {exc}", offset=offset)
-        offset += ln
-    if offset != len(blob):
+            raise DataFormatError(f"id is not valid UTF-8: {exc}", offset=start)
+    if offset != size:
         raise DataFormatError(
-            f"{len(blob) - offset} trailing bytes after id block", offset=offset
+            f"{size - offset} trailing bytes after id block", offset=offset
         )
     return EmbeddingMatrix(data, tuple(ids))
 
 
 def write_labels(dataset: LabeledDataset, path: str | Path) -> None:
     """Write the label TSV (id, grade token, origin token)."""
-    lines = [LABEL_HEADER]
-    for i, rid in enumerate(dataset.ids):
-        grade = RelevanceGrade(int(dataset.grades[i])).name
-        origin = Origin(int(dataset.origin[i])).name
-        lines.append(f"{rid}\t{grade}\t{origin}")
+    grades = [_GRADE_TOKENS[code] for code in dataset.grades.tolist()]
+    origin = [_ORIGIN_TOKENS[code] for code in dataset.origin.tolist()]
+    lines = [LABEL_HEADER, *map("\t".join, zip(dataset.ids, grades, origin))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -503,7 +504,11 @@ def load_labels(path: str | Path) -> dict[str, tuple[RelevanceGrade, Origin]]:
         rid, grade, origin = cells
         if rid in out:
             raise DuplicateIdError(f"line {lineno}: duplicate id {rid!r}")
-        out[rid] = (RelevanceGrade.from_token(grade), Origin.from_token(origin))
+        try:
+            out[rid] = (_GRADES[grade], _ORIGINS[origin])
+        except KeyError:
+            kind, token = ("grade", grade) if grade not in _GRADES else ("origin", origin)
+            raise DataFormatError(f"unknown {kind} token {token!r}") from None
     return out
 
 
@@ -522,9 +527,8 @@ def load_labeled_dataset(
         raise DataFormatError(
             f"label file has {len(labels)} rows, embeddings have {matrix.rows}"
         )
-    grades = np.array([int(labels[rid][0]) for rid in matrix.ids], dtype=np.int8)
-    origin = np.array([int(labels[rid][1]) for rid in matrix.ids], dtype=np.int8)
-    return LabeledDataset(matrix, grades, origin)
+    codes = np.array([labels[rid] for rid in matrix.ids], dtype=np.int8)
+    return LabeledDataset(matrix, *codes.reshape(-1, 2).T)
 
 
 # ---------------------------------------------------------------------------

@@ -30,17 +30,25 @@ DEFAULT_RIDGE_SCALE = 1e-4
 MIN_CALIBRATION_SAMPLES = 50
 
 
-def _as_matrix(reps) -> tuple[np.ndarray, tuple[str, ...]]:
+def _as_matrix(reps) -> np.ndarray:
     """Accept an EmbeddingMatrix or a plain 2-D array of representations."""
     if isinstance(reps, EmbeddingMatrix):
-        return np.asarray(reps.data, dtype=np.float64), reps.ids
+        return np.asarray(reps.data, dtype=np.float64)
     arr = np.asarray(reps, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatchError(
             f"representations must be 2-D, got shape {arr.shape}"
         )
-    ids = tuple(f"row-{i:06d}" for i in range(arr.shape[0]))
-    return arr, ids
+    return arr
+
+
+def _row_ids(reps, rows: int, ids) -> tuple[str, ...]:
+    """The given ids, else the matrix's own, else ``row-NNNNNN`` by position."""
+    if ids is not None:
+        return tuple(ids)
+    if isinstance(reps, EmbeddingMatrix):
+        return reps.ids
+    return tuple(f"row-{i:06d}" for i in range(rows))
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ def fit_gaussian(reps, ridge: float | None = None) -> GaussianStats:
     ``ridge`` defaults to ``1e-4 * trace(covariance) / dims``; pass 0.0 to
     demand an unregularized factorization.
     """
-    data, _ = _as_matrix(reps)
+    data = _as_matrix(reps)
     n, dims = data.shape
     if n < 1:
         raise DataFormatError("cannot fit a Gaussian on zero rows")
@@ -133,8 +141,8 @@ class NeighborIndex:
 
 def build_index(reps, ids: tuple[str, ...] | None = None) -> NeighborIndex:
     """L2-normalize reference rows; rejects zero-norm rows by id."""
-    data, inferred = _as_matrix(reps)
-    row_ids = tuple(ids) if ids is not None else inferred
+    data = _as_matrix(reps)
+    row_ids = _row_ids(reps, data.shape[0], ids)
     if data.shape[0] < 1:
         raise DataFormatError("neighbor index needs at least one row")
     if len(row_ids) != data.shape[0]:
@@ -155,12 +163,17 @@ def build_index(reps, ids: tuple[str, ...] | None = None) -> NeighborIndex:
 
 
 def knn_distance_batch(
-    index: NeighborIndex, x: np.ndarray, chunk: int = 1024
+    index: NeighborIndex, x: np.ndarray, chunk: int = 192
 ) -> np.ndarray:
     """Exact nearest-neighbor cosine distance per query row, in [0, 2].
 
-    Brute force over every reference row; queries are processed in chunks
-    to bound the similarity matrix footprint.
+    Brute force over every reference row, in blocks of ``chunk`` queries.
+    One ``min(chunk, rows) x index.rows`` float64 similarity buffer is
+    allocated per call and refilled for every block.  Every block holds the
+    same number of rows, at least two (the last one overlaps its
+    predecessor), so BLAS never switches to its one-row kernel, which
+    rounds differently: each row's distance is bit-identical whatever the
+    chunk size.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
@@ -177,11 +190,14 @@ def knn_distance_batch(
     if bad.size:
         raise DataFormatError(f"zero-norm query row {int(bad[0])}")
     queries = arr / norms[:, None]
-    out = np.empty(queries.shape[0], dtype=np.float64)
-    for start in range(0, queries.shape[0], chunk):
-        block = queries[start : start + chunk]
-        sims = block @ index.vectors.T
-        out[start : start + chunk] = 1.0 - sims.max(axis=1)
+    n = queries.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    width = min(max(chunk, 2), max(n, 1))
+    sims = np.empty((width, index.rows), dtype=np.float64)
+    for start in range(0, n, width):
+        start = min(start, n - width)
+        np.matmul(queries[start : start + width], index.vectors.T, out=sims)
+        out[start : start + width] = 1.0 - sims.max(axis=1)
     return np.clip(out, 0.0, 2.0)
 
 
@@ -356,8 +372,8 @@ def score_pool(
     ids: tuple[str, ...] | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Both distances for every pool row, float64 throughout."""
-    data, inferred = _as_matrix(pool_reps)
-    row_ids = tuple(ids) if ids is not None else inferred
+    data = _as_matrix(pool_reps)
+    row_ids = _row_ids(pool_reps, data.shape[0], ids)
     if stats.dims != index.dims or data.shape[1] != stats.dims:
         raise DimensionMismatchError(
             f"dims disagree: pool {data.shape[1]}, gaussian {stats.dims}, "
@@ -408,11 +424,14 @@ def dasa_order(mahal: np.ndarray, knn: np.ndarray) -> np.ndarray:
 
 def write_score_report(report: SelectionReport, path) -> None:
     """TSV report, one row per pool row, distances to 6 significant digits."""
+    columns = zip(
+        report.ids,
+        report.mahal.tolist(),
+        report.knn.tolist(),
+        report.flag_mahal.tolist(),
+        report.flag_knn.tolist(),
+        report.selected.tolist(),
+    )
     lines = ["id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected"]
-    for i, row_id in enumerate(report.ids):
-        lines.append(
-            f"{row_id}\t{report.mahal[i]:.6g}\t{report.knn[i]:.6g}\t"
-            f"{int(report.flag_mahal[i])}\t{int(report.flag_knn[i])}\t"
-            f"{int(report.selected[i])}"
-        )
+    lines += ["%s\t%.6g\t%.6g\t%d\t%d\t%d" % row for row in columns]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

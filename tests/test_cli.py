@@ -1,10 +1,13 @@
 """End-to-end command-line runs against a small corpus."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darl.cli import RunConfig, main
 
@@ -85,6 +88,21 @@ def test_print_config_round_trips(tiny_config_path, capsys):
     assert payload["trend_seeds"] == [5, 6]
 
 
+@pytest.mark.parametrize(
+    "section",
+    [{"policy": {"grid_points": 31}}, {"policy": {"mode": "f1"}}, {"plan": {"lp_epochs": 3}}],
+)
+def test_partial_section_keeps_run_defaults(tmp_path, capsys, section):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(section), encoding="utf-8")
+    assert main(["gen-data", "--config", str(path), "--print-config"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (name, given), = section.items()
+    expected = json.loads(json.dumps(dataclasses.asdict(getattr(RunConfig(), name))))
+    expected.update(given)
+    assert payload[name] == expected
+
+
 def test_print_config_is_canonical(tiny_config_path, capsys):
     main(["gen-data", "--config", tiny_config_path, "--print-config"])
     first = capsys.readouterr().out
@@ -151,8 +169,13 @@ def test_invalid_rho_override(tmp_path, capsys):
         ({"corpus": {**TINY_JSON["corpus"], "pool_ood_fraction": 0}}, "pool_ood_fraction"),
         ({"seed": "x"}, "seed"),
         ({"alpha": 2}, "alpha"),
+        ({"budgets": 5}, "budgets"),
+        ({"plan": {"batch_size": "64"}}, "plan.batch_size"),
     ],
-    ids=["eval_fraction-above-1", "eval_fraction-zero", "no-pool-ood", "seed", "alpha"],
+    ids=[
+        "eval_fraction-above-1", "eval_fraction-zero", "no-pool-ood", "seed",
+        "alpha", "budgets-not-list", "batch_size-string",
+    ],
 )
 def test_bad_config_is_rejected_before_any_file(tmp_path, capsys, payload, field):
     path = tmp_path / "cfg.json"
@@ -164,6 +187,42 @@ def test_bad_config_is_rejected_before_any_file(tmp_path, capsys, payload, field
     assert field in err
     assert "Traceback" not in err
     assert list(run_dir.iterdir()) == []
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _config_strategy():
+    defaults = RunConfig()
+    optional = {}
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(defaults, field.name)
+        if dataclasses.is_dataclass(value):
+            keys = [f.name for f in dataclasses.fields(value)]
+            optional[field.name] = _JSON_VALUES | st.dictionaries(
+                st.sampled_from(keys), _JSON_VALUES, max_size=3
+            )
+        else:
+            optional[field.name] = _JSON_VALUES
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+@settings(max_examples=200)
+@given(payload=_config_strategy())
+def test_any_json_config_resolves_or_exits_cleanly(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    # main catches DarlError only, so any other exception fails the test
+    assert main(["gen-data", "--config", str(path), "--print-config"]) in (0, 2)
 
 
 def test_select_before_fit_ood(tmp_path, capsys):

@@ -45,18 +45,28 @@ def test_grade_scale_has_exactly_three_values():
     assert [int(g) for g in RelevanceGrade] == [0, 1, 2]
 
 
-def test_grade_token_round_trip():
+def _label_file(tmp_path, rows):
+    path = tmp_path / "labels.tsv"
+    path.write_text("id\tgrade\torigin\n" + "".join(rows), encoding="utf-8")
+    return path
+
+
+def test_grade_token_round_trip(tmp_path):
+    path = _label_file(tmp_path, [f"{g.name}\t{g.name}\tID\n" for g in RelevanceGrade])
     for g in RelevanceGrade:
-        assert RelevanceGrade.from_token(g.name) is g
-    with pytest.raises(DataFormatError):
-        RelevanceGrade.from_token("XX")
+        assert load_labels(path)[g.name][0] is g
+    with pytest.raises(DataFormatError) as err:
+        load_labels(_label_file(tmp_path, ["ok\tIR\tOOD\n", "a\tXX\tID\n"]))
+    assert str(err.value) == "unknown grade token 'XX'"
 
 
-def test_origin_token_round_trip():
-    assert Origin.from_token("ID") is Origin.ID
-    assert Origin.from_token("OOD") is Origin.OOD
-    with pytest.raises(DataFormatError):
-        Origin.from_token("id")
+def test_origin_token_round_trip(tmp_path):
+    path = _label_file(tmp_path, ["a\tSR\tID\n", "b\tSR\tOOD\n"])
+    assert load_labels(path)["a"][1] is Origin.ID
+    assert load_labels(path)["b"][1] is Origin.OOD
+    with pytest.raises(DataFormatError) as err:
+        load_labels(_label_file(tmp_path, ["ok\tIR\tOOD\n", "a\tSR\tid\n"]))
+    assert str(err.value) == "unknown origin token 'id'"
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +284,45 @@ def test_embeddings_payload_layout(tmp_path):
     assert m.ids == ("r1", "r2")
 
 
+def test_embeddings_id_block_layout(tmp_path):
+    # empty, multi-byte UTF-8, and longer-than-255-byte ids
+    ids = ("", "\u00e9t\u00e9", "x" * 300)
+    m = EmbeddingMatrix(np.zeros((3, 1), dtype=np.float32), ids)
+    path = tmp_path / "ids.emb"
+    write_embeddings(m, path)
+    raws = [rid.encode("utf-8") for rid in ids]
+    expected_ids = b"".join(struct.pack("<H", len(r)) + r for r in raws)
+    assert path.read_bytes() == (
+        EMBEDDING_MAGIC
+        + struct.pack("<II", 3, 1)
+        + bytes(12)
+        + struct.pack("<I", 3)
+        + expected_ids
+    )
+    assert load_embeddings(path).ids == ids
+
+
+def test_write_embeddings_rejects_overlong_id(tmp_path):
+    m = EmbeddingMatrix(np.zeros((2, 1), dtype=np.float32), ("ok", "y" * 0x10000))
+    with pytest.raises(DataFormatError, match="too long"):
+        write_embeddings(m, tmp_path / "long.emb")
+
+
+def test_load_embeddings_rejects_bad_id_block(tmp_path):
+    blob = _valid_blob()  # ids "a" and "b": 3 bytes each at the end
+    path = tmp_path / "ids.emb"
+    path.write_bytes(blob[:-2])
+    with pytest.raises(TruncatedPayloadError, match="id length"):
+        load_embeddings(path)
+    path.write_bytes(blob[:-1])
+    with pytest.raises(TruncatedPayloadError, match="id string"):
+        load_embeddings(path)
+    path.write_bytes(blob[:-1] + b"\xff")
+    with pytest.raises(DataFormatError, match="UTF-8") as err:
+        load_embeddings(path)
+    assert err.value.offset == len(blob) - 1
+
+
 def _valid_blob() -> bytes:
     m = EmbeddingMatrix(np.ones((2, 2), dtype=np.float32), ("a", "b"))
     import tempfile
@@ -370,6 +419,16 @@ def test_load_labels_rejects_bad_rows(tmp_path):
     path.write_text("id\tgrade\torigin\na\tZZ\tID\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_labels(path)
+
+
+def test_write_labels_bytes(tmp_path):
+    matrix = EmbeddingMatrix(np.zeros((3, 2), dtype=np.float32), ("a", "b", "c"))
+    d = LabeledDataset(matrix, np.array([2, 0, 1]), np.array([0, 1, 0]))
+    path = tmp_path / "labels.tsv"
+    write_labels(d, path)
+    assert path.read_bytes() == (
+        b"id\tgrade\torigin\na\tSR\tID\nb\tIR\tOOD\nc\tWR\tID\n"
+    )
 
 
 def test_load_labeled_dataset_joins_by_id(tmp_path):

@@ -1,5 +1,7 @@
 """Distance scoring, threshold calibration, and pool selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -174,13 +176,39 @@ def test_knn_is_scale_invariant():
 def test_knn_chunking_is_invisible():
     rng = np.random.default_rng(5)
     index = build_index(rng.standard_normal((50, 3)))
-    queries = rng.standard_normal((33, 3))
-    np.testing.assert_allclose(
-        knn_distance_batch(index, queries, chunk=1),
-        knn_distance_batch(index, queries, chunk=1024),
-        rtol=1e-12,
-        atol=1e-15,
-    )
+    # more rows than the default chunk, and 400 = 57 * 7 + 1 leaves a
+    # one-row tail at chunk 7
+    queries = rng.standard_normal((400, 3))
+    base = knn_distance_batch(index, queries)
+    for chunk in (1, 7, 1024):
+        assert np.array_equal(knn_distance_batch(index, queries, chunk=chunk), base)
+    for chunk in (1, 7, 1024):
+        empty = knn_distance_batch(index, np.zeros((0, 3)), chunk=chunk)
+        assert empty.shape == (0,)
+
+
+def test_knn_similarity_buffer_is_reused():
+    """Peak memory grows with the query count only by query-sized arrays,
+    not by a chunk x index-rows similarity matrix per chunk."""
+    rng = np.random.default_rng(8)
+    dims, chunk = 4, 64
+    index = build_index(rng.standard_normal((4000, dims)))
+
+    def peak(rows: int) -> int:
+        queries = rng.standard_normal((rows, dims))
+        tracemalloc.start()
+        try:
+            knn_distance_batch(index, queries, chunk=chunk)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = chunk, 16 * chunk
+    # generous: a few float64 copies of the queries plus a few per-row vectors
+    query_bytes = (large - small) * (4 * dims + 4) * 8
+    similarity_block = chunk * index.rows * 8
+    assert query_bytes < similarity_block / 2
+    assert peak(large) - peak(small) <= query_bytes
 
 
 def test_knn_bounds():
@@ -467,3 +495,22 @@ def test_score_report_round_trip(tmp_path):
     np.testing.assert_allclose(back[:, 1], report.knn, rtol=1e-5)
     np.testing.assert_array_equal(back[:, 4].astype(bool), report.selected)
     np.testing.assert_array_equal(back[:, 2].astype(bool), report.flag_mahal)
+
+
+def test_score_report_bytes(tmp_path):
+    report = SelectionReport(
+        ids=("a", "b", "c"),
+        mahal=np.array([1.0, 123456.789, 2.5e-7]),
+        knn=np.array([0.1234567, 0.0, 2.0]),
+        flag_mahal=np.array([True, True, False]),
+        flag_knn=np.array([True, False, True]),
+        selected=np.array([True, False, False]),
+    )
+    path = tmp_path / "scores.tsv"
+    write_score_report(report, path)
+    assert path.read_bytes() == (
+        b"id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected\n"
+        b"a\t1\t0.123457\t1\t1\t1\n"
+        b"b\t123457\t0\t1\t0\t0\n"
+        b"c\t2.5e-07\t2\t0\t1\t0\n"
+    )
