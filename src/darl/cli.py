@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +33,7 @@ from .dataset import (
     write_embeddings,
     write_labels,
 )
-from .errors import ConfigError, DarlError, MissingArtifactError
+from .errors import ConfigError, DarlError, DataFormatError, MissingArtifactError
 from .harness import (
     DEFAULT_BUDGETS,
     TREND_SEEDS,
@@ -103,8 +105,10 @@ def _typed(key: str, value, default):
     elif isinstance(default, int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        kind = "a number"
+        ok = isinstance(value, float) and math.isfinite(value) or (
+            isinstance(value, int) and not isinstance(value, bool)
+        )
+        kind = "a finite number"
     else:
         ok, kind = isinstance(value, str), "a string"
     if not ok:
@@ -172,16 +176,29 @@ class _Run:
             raise MissingArtifactError(p, producer)
         return p
 
+    def read_json(self, name: str) -> dict:
+        """A JSON object this CLI wrote; a corrupt file is named in the error."""
+        path = self.path(name)
+        try:
+            value = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(value, dict):
+            raise DataFormatError(f"{path} must hold a JSON object")
+        return value
+
     def record(self, *names: str) -> None:
-        manifest_path = self.root / "manifest.json"
+        """Add the artifacts' hashes to the manifest, replacing it atomically."""
         manifest = {}
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if self.path("manifest.json").exists():
+            manifest = self.read_json("manifest.json")
         for name in names:
             manifest[name] = sha256_file(self.path(name))
-        manifest_path.write_text(
+        partial = self.path("manifest.json.tmp")
+        partial.write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
+        os.replace(partial, self.path("manifest.json"))
 
     def write_config(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -331,9 +348,11 @@ def _deployed_checkpoint(run: _Run):
     """The blend the run deploys: sweep-selected if present, else config alpha."""
     best_path = run.path("best_alpha.json")
     if best_path.exists():
-        alpha = float(
-            json.loads(best_path.read_text(encoding="utf-8"))["best_alpha"]
-        )
+        alpha = run.read_json("best_alpha.json").get("best_alpha")
+        if type(alpha) not in (int, float) or not 0.0 <= alpha <= 1.0:
+            raise DataFormatError(
+                f"{best_path}: best_alpha must be a number in [0, 1], got {alpha!r}"
+            )
     else:
         alpha = run.config.alpha
     name = f"phi_alpha_{alpha:g}.ckpt"

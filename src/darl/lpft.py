@@ -96,11 +96,15 @@ def run_training(
     """Seeded minibatch Adam loop; returns final params and per-epoch loss.
 
     Batch order is a fresh seeded permutation per epoch; the trace entry for
-    an epoch is the size-weighted mean of its batch losses.
+    an epoch is the size-weighted mean of its batch losses.  Adam updates a
+    copy of the parameters in place; each step's read-only ``ModelParams``
+    view of it raises at the step where training diverges.
     """
     if x.shape[0] == 0:
         raise DataFormatError(f"stage {stage!r} received an empty dataset")
-    opt = init_opt(params.arch, lr=lr, trainable=trainable)
+    arch = params.arch
+    opt = init_opt(arch, lr=lr, trainable=trainable)
+    vec = params.values.copy()
     rng = sub_rng(seed, "batch-order", stage)
     n = x.shape[0]
     trace: list[LossValues] = []
@@ -110,12 +114,13 @@ def run_training(
         for start in range(0, n, batch_size):
             take = perm[start : start + batch_size]
             values, grad = loss_and_grad(
-                params, x[take], grades[take], prior, trainable=trainable
+                ModelParams(arch, vec.view()), x[take], grades[take], prior,
+                trainable=trainable,
             )
-            opt, params = adam_step(opt, params, grad)
+            adam_step(opt, vec, grad)
             total += np.array(values) * take.size
         trace.append(LossValues(*(total / n)))
-    return params, trace
+    return ModelParams(arch, vec), trace
 
 
 def pretrain_backbone(
@@ -134,13 +139,11 @@ def pretrain_backbone(
     instead, keeping representations close to the input geometry.
     """
     arch = ModelArch(input_dims=superset.embeddings.dims)
-    params = init_model(arch, plan.seed)
-    boosted = params.values.copy()
+    boosted = init_model(arch, plan.seed).values.copy()
     boosted[arch.backbone_count :] *= plan.head_boost
-    params = params.replace_values(boosted)
     x, grades = _dataset_arrays(superset)
     params, trace = run_training(
-        params, x, grades, prior=None,
+        ModelParams(arch, boosted), x, grades, prior=None,
         epochs=plan.pretrain_epochs, lr=plan.pretrain_lr, trainable="all",
         batch_size=plan.batch_size, seed=plan.seed, stage="pretrain",
     )

@@ -9,10 +9,11 @@ training stay trivial to reason about.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,11 @@ TRAINABLE_CHOICES = ("head", "backbone", "all")
 # Hard cross-entropy target per grade: irrelevant maps to 0, both weak and
 # strong relevance map to the positive side; the KL prior separates the two.
 _BINARY_TARGET = np.array([0.0, 1.0, 1.0], dtype=np.float64)
+
+# Adam moment decay rates and denominator floor
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class ModelArch:
         shapes.append((self.rep_dims, 1))
         return shapes
 
-    @property
+    @functools.cached_property
     def backbone_count(self) -> int:
         shapes = self.layer_shapes()[:-1]
         return sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
@@ -86,7 +92,7 @@ class ModelArch:
     def head_count(self) -> int:
         return self.rep_dims + 1
 
-    @property
+    @functools.cached_property
     def param_count(self) -> int:
         return self.backbone_count + self.head_count
 
@@ -124,10 +130,6 @@ class ModelParams:
     @property
     def backbone(self) -> np.ndarray:
         return self.values[: self.arch.backbone_count]
-
-    @property
-    def head(self) -> np.ndarray:
-        return self.values[self.arch.backbone_count :]
 
     def replace_values(self, values: np.ndarray) -> "ModelParams":
         return ModelParams(self.arch, values)
@@ -204,7 +206,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
     """Probabilities, logits, and representations for a batch of inputs."""
     batch = _check_inputs(params.arch, x)
-    _, probs, logits, activations = _forward_full(params, batch)
+    probs, logits, activations = _forward_full(params, batch)
     return ForwardResult(probs=probs, logits=logits, reps=activations[-1])
 
 
@@ -219,26 +221,22 @@ def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def _forward_full(
     params: ModelParams, batch: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Forward pass keeping every activation for backprop.
 
-    Returns (pre_activations, probs, logits, activations) where
-    activations[i] is the output of hidden layer i and activations[-1]
-    is the representation feeding the head.
+    Returns (probs, logits, activations) where activations[i] is the output
+    of hidden layer i and activations[-1] is the representation feeding the
+    head.
     """
     views = _layer_views(params.arch, params.values)
     activations: list[np.ndarray] = []
-    pres: list[np.ndarray] = []
     a = batch
     for w, b in views[:-1]:
-        s = a @ w + b
-        a = np.tanh(s)
-        pres.append(s)
+        a = np.tanh(a @ w + b)
         activations.append(a)
     head_w, head_b = views[-1]
     logits = (a @ head_w + head_b)[:, 0]
-    probs = _sigmoid(logits)
-    return pres, probs, logits, activations
+    return _sigmoid(logits), logits, activations
 
 
 @dataclass(frozen=True)
@@ -294,19 +292,30 @@ def _check_grades(grades: np.ndarray, n: int) -> np.ndarray:
     return g.astype(np.intp)
 
 
-def _loss_terms(
-    logits: np.ndarray, grades: np.ndarray, prior: CalibrationPrior | None
-) -> tuple[LossValues, np.ndarray]:
-    """Mean loss plus per-sample dL/dlogit for the summed objective."""
+def _forward_loss(
+    params: ModelParams,
+    x: np.ndarray,
+    grades: np.ndarray,
+    prior: CalibrationPrior | None,
+) -> tuple[np.ndarray, list[np.ndarray], LossValues, np.ndarray]:
+    """One validated forward pass with its mean loss.
+
+    Returns (batch, activations, loss values, per-sample dL/dlogit of the
+    summed objective).
+    """
+    batch = _check_inputs(params.arch, x)
+    if batch.shape[0] == 0:
+        raise DataFormatError("loss needs a nonempty batch")
+    g = _check_grades(grades, batch.shape[0])
+    probs, logits, activations = _forward_full(params, batch)
     n = logits.size
-    y = _BINARY_TARGET[grades]
+    y = _BINARY_TARGET[g]
     # binary cross-entropy from logits: softplus(z) - y*z
     ce_each = np.logaddexp(0.0, logits) - y * logits
-    probs = _sigmoid(logits)
     dz = probs - y
     kl = 0.0
     if prior is not None:
-        q1 = prior.positive_mass()[grades]
+        q1 = prior.positive_mass()[g]
         q0 = 1.0 - q1
         log_p = -np.logaddexp(0.0, -logits)
         log_1mp = -np.logaddexp(0.0, logits)
@@ -315,9 +324,9 @@ def _loss_terms(
         )
         kl = float(kl_each.mean())
         # d KL / dz = p(1-p) * (z - logit(q1))
-        dz = dz + probs * (1.0 - probs) * (logits - prior.target_logits()[grades])
+        dz = dz + probs * (1.0 - probs) * (logits - prior.target_logits()[g])
     ce = float(ce_each.mean())
-    return LossValues(total=ce + kl, ce=ce, kl=kl), dz / n
+    return batch, activations, LossValues(total=ce + kl, ce=ce, kl=kl), dz / n
 
 
 def loss(
@@ -332,13 +341,7 @@ def loss(
     target and kl is the divergence from the predicted Bernoulli to the
     grade prior (natural log).  A missing prior drops the kl term.
     """
-    batch = _check_inputs(params.arch, x)
-    if batch.shape[0] == 0:
-        raise DataFormatError("loss needs a nonempty batch")
-    g = _check_grades(grades, batch.shape[0])
-    _, _, logits, _ = _forward_full(params, batch)
-    values, _ = _loss_terms(logits, g, prior)
-    return values
+    return _forward_loss(params, x, grades, prior)[2]
 
 
 def loss_and_grad(
@@ -353,27 +356,20 @@ def loss_and_grad(
     The returned vector always has full parameter length with zeros
     outside the selected slice.
     """
-    batch = _check_inputs(params.arch, x)
-    if batch.shape[0] == 0:
-        raise DataFormatError("loss needs a nonempty batch")
-    g = _check_grades(grades, batch.shape[0])
-    region = trainable_slice(params.arch, trainable)
-
-    pres, _, logits, activations = _forward_full(params, batch)
-    values, dz = _loss_terms(logits, g, prior)
-
     arch = params.arch
+    region = trainable_slice(arch, trainable)
+    batch, activations, values, dz = _forward_loss(params, x, grades, prior)
+
     grad_vec = np.zeros(arch.param_count, dtype=np.float64)
     views = _layer_views(arch, params.values)
     grad_views = _layer_views(arch, grad_vec)
 
-    rep = activations[-1]
-    head_w, _ = views[-1]
-    gw, gb = grad_views[-1]
-    if trainable in ("head", "all"):
-        gw[:, 0] = rep.T @ dz
+    if region.stop == arch.param_count:  # head trainable
+        gw, gb = grad_views[-1]
+        gw[:, 0] = activations[-1].T @ dz
         gb[0] = dz.sum()
-    if trainable in ("backbone", "all"):
+    if region.start == 0:  # backbone trainable
+        head_w, _ = views[-1]
         delta = dz[:, None] * head_w[:, 0][None, :]
         for layer in range(len(arch.hidden) - 1, -1, -1):
             a = activations[layer]
@@ -385,72 +381,42 @@ def loss_and_grad(
             if layer > 0:
                 w, _ = views[layer]
                 delta = delta @ w.T
-    # zero anything outside the mask (cheap; keeps the contract explicit)
-    mask = np.zeros(arch.param_count, dtype=bool)
-    mask[region] = True
-    grad_vec[~mask] = 0.0
     return values, grad_vec
 
 
 @dataclass
 class OptState:
-    """Adam state over one contiguous trainable slice of the parameters."""
+    """Adam step count and moments over one region of the parameter vector."""
 
-    lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    trainable: str = "all"
+    region: slice
+    m: np.ndarray
+    v: np.ndarray
+    lr: float
     step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_opt(arch: ModelArch, lr: float = 5e-4, trainable: str = "all") -> OptState:
     region = trainable_slice(arch, trainable)
     size = region.stop - region.start
-    return OptState(
-        lr=lr,
-        trainable=trainable,
-        m=np.zeros(size, dtype=np.float64),
-        v=np.zeros(size, dtype=np.float64),
-    )
+    return OptState(region, np.zeros(size), np.zeros(size), lr)
 
 
-def adam_step(
-    opt: OptState, params: ModelParams, grad_vec: np.ndarray
-) -> tuple[OptState, ModelParams]:
-    """One bias-corrected Adam update on the trainable slice."""
-    grad_vec = np.asarray(grad_vec, dtype=np.float64)
-    if grad_vec.shape != (params.arch.param_count,):
+def adam_step(opt: OptState, values: np.ndarray, grad_vec: np.ndarray) -> None:
+    """One bias-corrected Adam update of ``values[opt.region]``, in place."""
+    if grad_vec.shape != values.shape:
         raise DimensionMismatchError(
-            f"gradient has shape {grad_vec.shape}, expected "
-            f"({params.arch.param_count},)"
+            f"gradient has shape {grad_vec.shape}, expected {values.shape}"
         )
-    region = trainable_slice(params.arch, opt.trainable)
-    if opt.m.size != region.stop - region.start:
-        raise DimensionMismatchError(
-            "optimizer state does not match the trainable slice"
-        )
-    g = grad_vec[region]
+    g = grad_vec[opt.region]
     t = opt.step + 1
-    m = opt.beta1 * opt.m + (1.0 - opt.beta1) * g
-    v = opt.beta2 * opt.v + (1.0 - opt.beta2) * g * g
-    m_hat = m / (1.0 - opt.beta1**t)
-    v_hat = v / (1.0 - opt.beta2**t)
-    new_values = params.values.copy()
-    new_values[region] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
-    new_opt = OptState(
-        lr=opt.lr,
-        beta1=opt.beta1,
-        beta2=opt.beta2,
-        eps=opt.eps,
-        trainable=opt.trainable,
-        step=t,
-        m=m,
-        v=v,
-    )
-    return new_opt, params.replace_values(new_values)
+    opt.m *= _BETA1
+    opt.m += (1.0 - _BETA1) * g
+    opt.v *= _BETA2
+    opt.v += (1.0 - _BETA2) * g * g
+    m_hat = opt.m / (1.0 - _BETA1**t)
+    v_hat = opt.v / (1.0 - _BETA2**t)
+    values[opt.region] -= opt.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+    opt.step = t
 
 
 def interpolate(phi_lp: ModelParams, phi_ft: ModelParams, alpha: float) -> ModelParams:

@@ -1,8 +1,12 @@
 """End-to-end command-line runs against a small corpus."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -171,14 +175,21 @@ def test_invalid_rho_override(tmp_path, capsys):
         ({"alpha": 2}, "alpha"),
         ({"budgets": 5}, "budgets"),
         ({"plan": {"batch_size": "64"}}, "plan.batch_size"),
+        ({"corpus": {"ood_shift_norm": float("nan")}}, "corpus.ood_shift_norm"),
+        ({"budgets": [float("nan")]}, "budgets"),
+        ({"plan": {"lp_lr": float("nan")}}, "plan.lp_lr"),
+        ({"plan": {"head_boost": float("inf")}}, "plan.head_boost"),
+        ({"plan": {"alpha_grid": [0.0, float("-inf")]}}, "plan.alpha_grid"),
     ],
     ids=[
         "eval_fraction-above-1", "eval_fraction-zero", "no-pool-ood", "seed",
-        "alpha", "budgets-not-list", "batch_size-string",
+        "alpha", "budgets-not-list", "batch_size-string", "shift-norm-nan",
+        "budget-nan", "lp_lr-nan", "head_boost-inf", "alpha_grid-minus-inf",
     ],
 )
 def test_bad_config_is_rejected_before_any_file(tmp_path, capsys, payload, field):
     path = tmp_path / "cfg.json"
+    # json.dumps writes NaN and Infinity literals, which json.loads accepts
     path.write_text(json.dumps(payload), encoding="utf-8")
     run_dir = tmp_path / "run"
     run_dir.mkdir()
@@ -193,7 +204,7 @@ _JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-(10**6), 10**6)
-    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats()
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=2),
@@ -221,8 +232,14 @@ def _config_strategy():
 def test_any_json_config_resolves_or_exits_cleanly(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    # main catches DarlError only, so any other exception fails the test
-    assert main(["gen-data", "--config", str(path), "--print-config"]) in (0, 2)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        # main catches DarlError only, so any other exception fails the test
+        code = main(["gen-data", "--config", str(path), "--print-config"])
+    assert code in (0, 2)
+    if code == 0:
+        # a resolved config is strict JSON: no NaN or Infinity got through
+        json.loads(out.getvalue(), parse_constant=pytest.fail)
 
 
 def test_select_before_fit_ood(tmp_path, capsys):
@@ -314,6 +331,52 @@ def test_interpolate_endpoints_reproduce_stage_checkpoints(
         assert code == 0
         blended = (pipeline_run / f"phi_alpha_{alpha}.ckpt").read_bytes()
         assert blended == (pipeline_run / stage_file).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("best_alpha.json", '{"alpha": 0.5}'),
+        ("best_alpha.json", '{"best_alpha": "x"}'),
+        ("best_alpha.json", '{"best_alpha": 1.5}'),
+        ("best_alpha.json", "[1]"),
+        ("best_alpha.json", '{"best_alpha": 0.'),
+        ("manifest.json", '{"config.json": "ab'),
+        ("manifest.json", "[]"),
+    ],
+    ids=[
+        "alpha-key-missing", "alpha-string", "alpha-out-of-range", "alpha-list",
+        "alpha-truncated", "manifest-truncated", "manifest-list",
+    ],
+)
+def test_corrupt_run_json_names_the_file(
+    tiny_config_path, pipeline_run, tmp_path, capsys, name, text
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(pipeline_run, run_dir)
+    (run_dir / name).write_text(text, encoding="utf-8")
+    code = main(["eval", "--config", tiny_config_path, "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert name in err
+    assert "Traceback" not in err
+    assert "config is not valid JSON" not in err
+
+
+def test_interrupted_record_keeps_the_old_manifest(
+    tiny_config_path, pipeline_run, tmp_path, monkeypatch
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(pipeline_run, run_dir)
+    before = (run_dir / "manifest.json").read_bytes()
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["hist", "--config", tiny_config_path, "--run-dir", str(run_dir)])
+    assert (run_dir / "manifest.json").read_bytes() == before
 
 
 def test_eval_redeploys_after_interpolate(tiny_config_path, pipeline_run, capsys):

@@ -7,7 +7,12 @@ import pytest
 
 from conftest import TINY_CONFIG, TINY_PLAN
 from darl.dataset import EmbeddingMatrix, LabeledDataset, generate_pretrain_superset
-from darl.errors import CheckpointError, ConfigError, DataFormatError
+from darl.errors import (
+    CheckpointError,
+    ConfigError,
+    DataFormatError,
+    NonFiniteValueError,
+)
 from darl.harness import ExperimentConfig, prepare
 from darl.lpft import (
     DEFAULT_ALPHA_GRID,
@@ -125,6 +130,29 @@ def test_run_training_rejects_empty_data():
         )
 
 
+def test_run_training_leaves_its_input_untouched():
+    x, grades = toy_binary_task()
+    params = init_model(ModelArch(2, (8, 4)), seed=5)
+    before = params.values.copy()
+    out, _ = run_training(
+        params, x, grades, None, epochs=2, lr=1e-2,
+        trainable="all", batch_size=32, seed=9, stage="unit",
+    )
+    np.testing.assert_array_equal(params.values, before)
+    assert not params.values.flags.writeable
+    assert not np.array_equal(out.values, before)
+
+
+def test_run_training_rejects_a_diverging_stage():
+    x, grades = toy_binary_task()
+    params = init_model(ModelArch(2, (8, 4)), seed=6)
+    with pytest.raises(NonFiniteValueError, match="non-finite model parameter"):
+        run_training(
+            params, x, grades, None, epochs=1, lr=np.inf,
+            trainable="all", batch_size=32, seed=9, stage="unit",
+        )
+
+
 # ---------------------------------------------------------------------------
 # pretraining
 
@@ -137,7 +165,7 @@ def tiny_superset():
 def test_pretrain_returns_zero_head(tiny_superset):
     backbone, trace = pretrain_backbone(tiny_superset, TINY_PLAN)
     assert backbone.arch.input_dims == TINY_CONFIG.dims
-    np.testing.assert_array_equal(backbone.head, 0.0)
+    np.testing.assert_array_equal(backbone.values[backbone.arch.backbone_count :], 0)
     assert np.any(backbone.backbone != 0.0)
     assert len(trace) == TINY_PLAN.pretrain_epochs
 
@@ -179,7 +207,7 @@ def test_probe_freezes_backbone_and_trains_head():
     plan = StagePlan(lp_epochs=10, lp_lr=5e-3, batch_size=32, seed=4)
     phi_lp, trace = linear_probe(theta, data, None, plan)
     np.testing.assert_array_equal(phi_lp.backbone, theta.backbone)
-    assert np.any(phi_lp.head != 0.0)
+    assert np.any(phi_lp.values[phi_lp.arch.backbone_count :] != 0.0)
     assert len(trace) == 10
     assert trace[-1].total < trace[0].total
 

@@ -50,3 +50,32 @@ def test_no_private_names_cross_modules(path):
         if internal and name.startswith("_") and not name.startswith("__")
     )
     assert private == [], f"{path.name} imports another module's private names"
+
+
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+
+def _public_api(path: Path):
+    """(qualified name, bare name, is a method) of each public def and class."""
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name, False
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{item.name}", item.name, True
+
+
+def test_public_api_has_a_non_test_caller():
+    # code that only unit tests reach is dead weight; the acceptance gate
+    # counts as a caller because it is the package's specification
+    trees = [_tree(path) for path in (*SOURCES, ACCEPTANCE)]
+    attrs = {n.attr for t in trees for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    names = attrs | {n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.alias)}
+    names = names.union(*map(_used_names, trees))
+    unused = sorted(
+        qualified
+        for path in SOURCES
+        for qualified, name, is_method in _public_api(path)
+        if name not in (attrs if is_method else names)
+    )
+    assert unused == [], "public API that only tests reach"
