@@ -33,7 +33,13 @@ from .dataset import (
     write_embeddings,
     write_labels,
 )
-from .errors import ConfigError, DarlError, DataFormatError, MissingArtifactError
+from .errors import (
+    ConfigError,
+    DarlError,
+    DataFormatError,
+    MissingArtifactError,
+    RunDirError,
+)
 from .harness import (
     DEFAULT_BUDGETS,
     TREND_SEEDS,
@@ -200,8 +206,14 @@ class _Run:
         )
         os.replace(partial, self.path("manifest.json"))
 
+    def make_dir(self, path: Path) -> None:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise RunDirError(f"cannot create run directory {path}: {exc}") from exc
+
     def write_config(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.make_dir(self.root)
         self.path("config.json").write_text(
             canonical_json(dataclasses.asdict(self.config)) + "\n", encoding="utf-8"
         )
@@ -240,7 +252,7 @@ def cmd_gen_data(run: _Run, args) -> None:
     )
     superset = generate_pretrain_superset(config.corpus)
     run.write_config()
-    run.data.mkdir(parents=True, exist_ok=True)
+    run.make_dir(run.data)
     run.save_dataset(corpus.train_id, "train_id")
     run.save_dataset(corpus.val_id, "val_id")
     run.save_dataset(corpus.test_id, "test_id")
@@ -400,7 +412,7 @@ def cmd_ablate(run: _Run, args) -> None:
     config = run.config
     seeds = config.trend_seeds
     tables = [run_ablation(config, seed) for seed in seeds]
-    run.root.mkdir(parents=True, exist_ok=True)
+    run.make_dir(run.root)
     write_ablation_tables(tables, run.path("ablation.tsv"), config)
     run.record("ablation.tsv")
     effects = [occ_effect(config, seed) for seed in seeds]
@@ -414,7 +426,7 @@ def cmd_sweep_budget(run: _Run, args) -> None:
     config = run.config
     seeds = config.trend_seeds
     rows = {seed: budget_sweep(config, seed, config.budgets) for seed in seeds}
-    run.root.mkdir(parents=True, exist_ok=True)
+    run.make_dir(run.root)
     write_budget_table(rows, run.path("budget_sweep.tsv"), config)
     run.record("budget_sweep.tsv")
     print(f"sweep-budget: {len(seeds)} seeds x {len(config.budgets)} budgets "
@@ -505,10 +517,12 @@ def main(argv=None) -> int:
     try:
         file_values = {}
         if args.config:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError("config", f"file not found: {path}")
-            file_values = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                raise ConfigError("config", f"file not found: {args.config}") from None
+            except (OSError, ValueError) as exc:
+                raise ConfigError("config", f"cannot read {args.config} as JSON: {exc}") from None
             if not isinstance(file_values, dict):
                 raise ConfigError("config", "top level must be a JSON object")
         overrides = {
@@ -525,9 +539,6 @@ def main(argv=None) -> int:
     except DarlError as exc:
         print(f"darl: error: {exc}", file=sys.stderr)
         return int(exc.exit_code)
-    except json.JSONDecodeError as exc:
-        print(f"darl: error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -490,8 +490,10 @@ def write_labels(dataset: LabeledDataset, path: str | Path) -> None:
 
 def load_labels(path: str | Path) -> dict[str, tuple[RelevanceGrade, Origin]]:
     """Parse the label TSV into an ordered id -> (grade, origin) mapping."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"label file {path} is not UTF-8: {exc}") from exc
     if not lines or lines[0] != LABEL_HEADER:
         raise DataFormatError(f"label file {path} missing header {LABEL_HEADER!r}")
     out: dict[str, tuple[RelevanceGrade, Origin]] = {}

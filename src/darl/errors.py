@@ -68,3 +68,9 @@ class MissingArtifactError(DarlError, FileNotFoundError):
         )
         self.path = path
         self.producer = producer
+
+
+class RunDirError(DarlError):
+    """The run directory (or a directory inside it) cannot be created."""
+
+    exit_code = 1

@@ -62,28 +62,20 @@ def _check_pair(scores, grades) -> tuple[np.ndarray, np.ndarray]:
     return s, g.astype(np.int8)
 
 
-def _macro_f1_from_counts(pred_counts: np.ndarray, true_counts: np.ndarray,
-                          tp: np.ndarray) -> float:
-    """Macro F1 given per-grade predicted totals, true totals, and matches."""
-    denom = pred_counts + true_counts
-    f1 = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0)
-    return float(f1.mean())
-
-
-def fit_grade_thresholds(
-    val_scores, val_grades
-) -> GradeThresholds:
+def fit_grade_thresholds(val_scores, val_grades) -> GradeThresholds:
     """Exhaustive percentile-grid search maximizing validation macro F1.
 
-    Candidates are the 1..99 percentile order statistics of the validation
-    scores; every ordered pair is scored and the best macro F1 wins, with
-    ties resolved toward the wider middle band.  Identical scores carry no
-    signal and fall back to (1/3, 2/3) with a warning.
+    Candidates are the distinct 1..99 percentile order statistics of the
+    validation scores that lie strictly inside (0, 1).  Every pair
+    t_wr < t_sr is scored at once; the best macro F1 wins, ties go to the
+    wider middle band, then to the smaller t_wr.  Identical scores, or fewer
+    than two candidates, carry no signal and fall back to (1/3, 2/3) with a
+    warning.
     """
     scores, grades = _check_pair(val_scores, val_grades)
-    present = set(int(g) for g in np.unique(grades))
-    if present != {0, 1, 2}:
-        missing = [RelevanceGrade(v).name for v in sorted({0, 1, 2} - present)]
+    true_counts = np.bincount(grades, minlength=3)
+    if not true_counts.all():
+        missing = [RelevanceGrade(v).name for v in np.flatnonzero(true_counts == 0)]
         raise DataFormatError(
             f"threshold fitting needs all three grades; missing {missing}"
         )
@@ -94,48 +86,31 @@ def fit_grade_thresholds(
         )
         return GradeThresholds(*DEGENERATE_THRESHOLDS)
 
-    candidates = sorted(
-        {order_stat_quantile(scores, p / 100.0) for p in GRID_PERCENTILES}
+    cand = np.unique(
+        [order_stat_quantile(scores, p / 100.0) for p in GRID_PERCENTILES]
     )
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_grades = grades[order]
-    n = scores.size
-    true_counts = np.array(
-        [np.count_nonzero(grades == v) for v in range(3)], dtype=np.int64
-    )
-    # below[c, g] = number of grade-g samples with score < candidate c
-    positions = np.searchsorted(sorted_scores, candidates, side="left")
-    cum = np.zeros((n + 1, 3), dtype=np.int64)
-    for v in range(3):
-        cum[1:, v] = np.cumsum(sorted_grades == v)
-    below = cum[positions]
-
-    best_key = None
-    best_pair = None
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            t_wr, t_sr = candidates[i], candidates[j]
-            low, mid = below[i], below[j]
-            pred_ir = low
-            pred_wr = mid - low
-            pred_sr = true_counts - mid
-            tp = np.array([pred_ir[0], pred_wr[1], pred_sr[2]], dtype=np.int64)
-            pred_totals = np.array(
-                [pred_ir.sum(), pred_wr.sum(), pred_sr.sum()], dtype=np.int64
-            )
-            f1 = _macro_f1_from_counts(pred_totals, true_counts, tp)
-            key = (f1, t_sr - t_wr, -t_wr)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_pair = (t_wr, t_sr)
-    if best_pair is None:
+    cand = cand[(cand > 0.0) & (cand < 1.0)]
+    if cand.size < 2:
         warnings.warn(
             "score spread too small for a threshold grid; using defaults",
             stacklevel=2,
         )
         return GradeThresholds(*DEGENERATE_THRESHOLDS)
-    return GradeThresholds(*best_pair)
+    # below[c, g] = number of grade-g samples with score < candidate c
+    below = np.stack(
+        [np.searchsorted(np.sort(scores[grades == v]), cand) for v in range(3)],
+        axis=1,
+    )
+    i, j = np.triu_indices(cand.size, 1)
+    # counts[pair, predicted grade, true grade]
+    counts = np.stack([below[i], below[j] - below[i], true_counts - below[j]], axis=1)
+    tp = np.diagonal(counts, axis1=1, axis2=2)
+    denom = counts.sum(axis=2) + true_counts
+    f1 = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0).mean(axis=1)
+    # the stable sort keeps (i, j) order among exact ties, so the first pair
+    # wins after best F1, widest band and smallest t_wr
+    best = np.lexsort((cand[i], -(cand[j] - cand[i]), -f1))[0]
+    return GradeThresholds(float(cand[i[best]]), float(cand[j[best]]))
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,7 @@ def save_thresholds(thresholds: OodThresholds, path) -> None:
 def load_thresholds(path) -> OodThresholds:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"invalid thresholds JSON in {path}: {exc}") from exc
     try:
         return OodThresholds(

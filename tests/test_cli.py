@@ -149,6 +149,15 @@ def test_invalid_config_json(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert main(["gen-data", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
     assert "JSON" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"seed": 5, "note": "caf\xe9"}')
+    for path in (latin1, tmp_path):  # not UTF-8; a directory
+        code = main(["gen-data", "--config", str(path), "--run-dir", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config" in err and str(path) in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_unknown_config_keys(tmp_path, capsys):
@@ -361,6 +370,35 @@ def test_corrupt_run_json_names_the_file(
     assert name in err
     assert "Traceback" not in err
     assert "config is not valid JSON" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("select", "thresholds.json"), ("eval", "data/test_id.tsv")],
+    ids=["thresholds", "labels"],
+)
+def test_non_utf8_run_file_names_the_file(
+    tiny_config_path, pipeline_run, tmp_path, capsys, command, name
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(pipeline_run, run_dir)
+    path = run_dir / name
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    code = main([command, "--config", tiny_config_path, "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert name in err
+    assert "Traceback" not in err
+
+
+def test_run_dir_that_is_a_file_is_named(tiny_config_path, tmp_path, capsys):
+    not_a_dir = tmp_path / "run"
+    not_a_dir.write_text("", encoding="utf-8")
+    code = main(["gen-data", "--config", tiny_config_path, "--run-dir", str(not_a_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(not_a_dir) in err
+    assert "Traceback" not in err
 
 
 def test_interrupted_record_keeps_the_old_manifest(

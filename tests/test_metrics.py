@@ -1,5 +1,7 @@
 """Grade thresholding, classification metrics, and score histograms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from darl.dataset import RelevanceGrade
 from darl.errors import ConfigError, DataFormatError
 from darl.metrics import (
     DEGENERATE_THRESHOLDS,
+    GRID_PERCENTILES,
     GradeThresholds,
     compute_metrics,
     fit_grade_thresholds,
@@ -16,6 +19,7 @@ from darl.metrics import (
     wr_mid_fraction,
     write_histogram,
 )
+from darl.util import order_stat_quantile
 
 IR, WR, SR = 0, 1, 2
 
@@ -99,6 +103,103 @@ def test_fit_is_invariant_to_increasing_affine_maps(seed, scale, shift):
     moved_scores = scale * scores + shift
     moved = fit_grade_thresholds(moved_scores, grades).predict(moved_scores)
     np.testing.assert_array_equal(base, moved)
+
+
+def _grid(scores):
+    return sorted({order_stat_quantile(scores, p / 100.0) for p in GRID_PERCENTILES})
+
+
+def _pair_loop(scores, grades, candidates):
+    """Reference fit: the candidate-pair loop used before the array pass.
+
+    Returns the winning (t_wr, t_sr) over ``candidates``, or None when there
+    are fewer than two.
+    """
+    order = np.argsort(scores, kind="stable")
+    sorted_scores, sorted_grades = scores[order], grades[order]
+    true_counts = np.array([np.count_nonzero(grades == v) for v in range(3)])
+    positions = np.searchsorted(sorted_scores, candidates, side="left")
+    cum = np.zeros((scores.size + 1, 3), dtype=np.int64)
+    for v in range(3):
+        cum[1:, v] = np.cumsum(sorted_grades == v)
+    below = cum[positions]
+    best_key = best_pair = None
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            t_wr, t_sr = candidates[i], candidates[j]
+            low, mid = below[i], below[j]
+            pred_ir, pred_wr, pred_sr = low, mid - low, true_counts - mid
+            tp = np.array([pred_ir[0], pred_wr[1], pred_sr[2]], dtype=np.int64)
+            pred_totals = np.array(
+                [pred_ir.sum(), pred_wr.sum(), pred_sr.sum()], dtype=np.int64
+            )
+            denom = pred_totals + true_counts
+            f1 = float(np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0).mean())
+            key = (f1, t_sr - t_wr, -t_wr)
+            if best_key is None or key > best_key:
+                best_key, best_pair = key, (t_wr, t_sr)
+    return best_pair
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 3000),
+    st.integers(1, 2),
+    st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 20)),
+    st.floats(0.0, 4.0),
+)
+def test_fit_matches_the_pair_loop(seed, n, decimals, mix, signal):
+    rng = np.random.default_rng(seed)
+    grades = rng.choice(3, size=n, p=np.array(mix) / sum(mix)).astype(np.int8)
+    grades[:3] = [IR, WR, SR]
+    logits = signal * (grades - 1.0) + rng.standard_normal(n)
+    # rounding makes heavy ties, and strong signals saturate at 0 and 1
+    scores = np.round(1.0 / (1.0 + np.exp(-logits)), decimals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = fit_grade_thresholds(scores, grades)
+    grid = _grid(scores)
+    inside = [c for c in grid if 0.0 < c < 1.0]
+    want = _pair_loop(scores, grades, inside)
+    assert (got.t_wr, got.t_sr) == (want or DEGENERATE_THRESHOLDS)
+    if len(inside) < len(grid):
+        # where the whole grid gave a valid pair, dropping 0 and 1 keeps it
+        full = _pair_loop(scores, grades, grid)
+        if full is not None and 0.0 < full[0] < full[1] < 1.0:
+            assert full == want
+
+
+def test_fit_tie_goes_to_the_smaller_t_wr():
+    # (0.5, 0.6) and (0.6, 0.7) have the same macro F1 and band width
+    scores = np.array([0.7, 0.6, 0.6, 0.5, 0.5])
+    grades = np.array([IR, WR, SR, IR, WR])
+    thr = fit_grade_thresholds(scores, grades)
+    assert (thr.t_wr, thr.t_sr) == (0.5, 0.6) == _pair_loop(scores, grades, _grid(scores))
+
+
+def test_fit_skips_saturated_candidates():
+    rng = np.random.default_rng(2)
+    scores = np.concatenate(
+        [rng.uniform(0.05, 0.3, 40), rng.uniform(0.4, 0.7, 30), np.ones(30)]
+    )
+    grades = np.array([IR] * 40 + [WR] * 30 + [SR] * 30)
+    # the whole grid puts t_sr at 1.0, which is not a valid threshold
+    assert _pair_loop(scores, grades, _grid(scores))[1] == 1.0
+    thr = fit_grade_thresholds(scores, grades)
+    assert 0.0 < thr.t_wr < thr.t_sr < 1.0
+    assert compute_metrics(scores, grades, thr).macro_f1 >= 0.95
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [np.array([0.1] + [0.5] * 299), np.array([0.0] * 40 + [1.0] * 60)],
+    ids=["one-outlier", "saturated"],
+)
+def test_fit_spread_too_small_warns_and_defaults(scores):
+    grades = np.resize([IR, WR, SR], scores.size)
+    with pytest.warns(UserWarning, match="spread too small"):
+        thr = fit_grade_thresholds(scores, grades)
+    assert (thr.t_wr, thr.t_sr) == DEGENERATE_THRESHOLDS
 
 
 # ---------------------------------------------------------------------------
