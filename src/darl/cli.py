@@ -3,10 +3,11 @@
 A run directory accumulates the artifacts of a single configuration: data
 files under ``data/``, checkpoints and tables at the top level, a resolved
 ``config.json``, and a ``manifest.json`` mapping every artifact to its
-content hash.  Each subcommand reads its prerequisites from the run
-directory and fails with the name of the producing subcommand when one is
-missing.  Given identical config and seed, every subcommand is
-deterministic down to the byte.
+content hash.  ``_PRODUCERS`` names the subcommand that writes each
+artifact.  A subcommand whose prerequisite is missing names that producer,
+a load that fails names the file, and every artifact is written to a
+``.tmp`` file and renamed into place.  Given identical config and seed,
+every subcommand is deterministic down to the byte.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .dataset import (
     Origin,
     generate_pretrain_superset,
     generate_synthetic,
-    load_labeled_dataset,
+    join_labels,
+    load_embeddings,
+    load_labels,
     merge_datasets,
     write_embeddings,
     write_labels,
@@ -165,72 +168,101 @@ def _build_config(file_values: dict, overrides: dict) -> RunConfig:
     return config
 
 
+# artifact (or data/ stem) -> the subcommand that writes it; `darl pipeline`
+# runs these subcommands in this order
+_PRODUCERS = {
+    **dict.fromkeys(("config.json", "train_id", "val_id", "test_id", "superset", "pool",
+                     "pool_truth", "select_truth", "val_ood", "test_ood"), "gen-data"),
+    "backbone.ckpt": "train --stage pretrain",
+    "thresholds.json": "fit-ood",
+    **dict.fromkeys(("score_report.tsv", "d_aug"), "select"),
+    "phi_lp.ckpt": "train --stage lp",
+    "phi_ft.ckpt": "train --stage ft",
+    **dict.fromkeys(("alpha_sweep.tsv", "best_alpha.json"), "sweep-alpha"),
+    "metrics.tsv": "eval",
+    "hist.tsv": "hist",
+}
+
+
+def _json_object(path: Path) -> dict:
+    value = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(value, dict):
+        raise DataFormatError("must hold a JSON object")
+    return value
+
+
+def _best_alpha(path: Path) -> float:
+    alpha = _json_object(path).get("best_alpha")
+    if type(alpha) not in (int, float) or not 0.0 <= alpha <= 1.0:
+        raise DataFormatError(f"best_alpha must be a number in [0, 1], got {alpha!r}")
+    return alpha
+
+
 class _Run:
-    """Paths, manifest bookkeeping, and artifact loading for one run dir."""
+    """One run directory: checked artifact loads, atomic saves, the manifest."""
 
     def __init__(self, run_dir: str | Path, config: RunConfig):
         self.root = Path(run_dir)
         self.config = config
-        self.data = self.root / "data"
 
     def path(self, name: str) -> Path:
         return self.root / name
 
-    def require(self, name: str, producer: str) -> Path:
-        p = self.path(name)
-        if not p.exists():
-            raise MissingArtifactError(p, producer)
-        return p
+    def load(self, name: str, read):
+        """``read(path)`` of an artifact that a listed producer wrote.
 
-    def read_json(self, name: str) -> dict:
-        """A JSON object this CLI wrote; a corrupt file is named in the error."""
+        Anything but a regular file is missing (exit 1, naming the
+        producer); a failed read names the file (exit 2).
+        """
+        path = self.path(name)
+        if not path.is_file():
+            producer = _PRODUCERS.get(name) or _PRODUCERS[Path(name).stem]
+            raise MissingArtifactError(path, producer)
+        return self._read(path, read)
+
+    @staticmethod
+    def _read(path: Path, read):
+        try:
+            return read(path)
+        except (DarlError, ValueError, OSError) as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+
+    def save(self, name: str, write, obj, *extra) -> None:
+        """``write(obj, path, *extra)`` through ``name.tmp`` + rename, then record."""
         path = self.path(name)
         try:
-            value = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(value, dict):
-            raise DataFormatError(f"{path} must hold a JSON object")
-        return value
-
-    def record(self, *names: str) -> None:
-        """Add the artifacts' hashes to the manifest, replacing it atomically."""
-        manifest = {}
-        if self.path("manifest.json").exists():
-            manifest = self.read_json("manifest.json")
-        for name in names:
-            manifest[name] = sha256_file(self.path(name))
-        partial = self.path("manifest.json.tmp")
-        partial.write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        os.replace(partial, self.path("manifest.json"))
-
-    def make_dir(self, path: Path) -> None:
-        try:
-            path.mkdir(parents=True, exist_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise RunDirError(f"cannot create run directory {path}: {exc}") from exc
+            raise RunDirError(f"cannot create run directory {path.parent}: {exc}") from exc
+        self._replace(path, write, obj, *extra)
+        manifest_path = self.path("manifest.json")
+        manifest = self._read(manifest_path, _json_object) if manifest_path.exists() else {}
+        manifest[name] = sha256_file(path)
+        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        self._replace(manifest_path, self.text_file, text)
 
-    def write_config(self) -> None:
-        self.make_dir(self.root)
-        self.path("config.json").write_text(
-            canonical_json(dataclasses.asdict(self.config)) + "\n", encoding="utf-8"
+    @staticmethod
+    def _replace(path: Path, write, obj, *extra) -> None:
+        partial = path.with_name(path.name + ".tmp")
+        try:
+            write(obj, partial, *extra)
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
+
+    @staticmethod
+    def text_file(text: str, path: Path) -> None:
+        path.write_text(text, encoding="utf-8")
+
+    def save_dataset(self, stem: str, dataset: LabeledDataset) -> None:
+        self.save(f"data/{stem}.emb", write_embeddings, dataset.embeddings)
+        self.save(f"data/{stem}.tsv", write_labels, dataset)
+
+    def load_dataset(self, stem: str) -> LabeledDataset:
+        matrix = self.load(f"data/{stem}.emb", load_embeddings)
+        return self.load(
+            f"data/{stem}.tsv", lambda path: join_labels(matrix, load_labels(path))
         )
-        self.record("config.json")
-
-    def save_dataset(self, dataset: LabeledDataset, stem: str) -> None:
-        write_embeddings(dataset.embeddings, self.data / f"{stem}.emb")
-        write_labels(dataset, self.data / f"{stem}.tsv")
-        self.record(f"data/{stem}.emb", f"data/{stem}.tsv")
-
-    def load_dataset(self, stem: str, producer: str) -> LabeledDataset:
-        self.require(f"data/{stem}.emb", producer)
-        self.require(f"data/{stem}.tsv", producer)
-        return load_labeled_dataset(self.data / f"{stem}.emb", self.data / f"{stem}.tsv")
-
-    def load_backbone(self):
-        return load_checkpoint(self.require("backbone.ckpt", "train --stage pretrain"))
 
     def header(self) -> str:
         return table_header(self.config, [self.config.seed])
@@ -238,11 +270,12 @@ class _Run:
 
 def _representation_setup(run: _Run):
     """Backbone, ID statistics, and neighbor index shared by fit/select."""
-    backbone = run.load_backbone()
-    return (backbone, *fit_space(backbone, run.load_dataset("train_id", "gen-data")))
+    backbone = run.load("backbone.ckpt", load_checkpoint)
+    return (backbone, *fit_space(backbone, run.load_dataset("train_id")))
 
 
 def cmd_gen_data(run: _Run, args) -> None:
+    """Generate the synthetic corpus and all data splits."""
     config = run.config
     corpus = generate_synthetic(config.corpus)
     # split before anything is written, so a pool that cannot feed the
@@ -251,137 +284,112 @@ def cmd_gen_data(run: _Run, args) -> None:
         corpus.pool_truth, config.eval_fraction, config.seed
     )
     superset = generate_pretrain_superset(config.corpus)
-    run.write_config()
-    run.make_dir(run.data)
-    run.save_dataset(corpus.train_id, "train_id")
-    run.save_dataset(corpus.val_id, "val_id")
-    run.save_dataset(corpus.test_id, "test_id")
-    run.save_dataset(superset, "superset")
-    write_embeddings(corpus.pool_unlabeled, run.data / "pool.emb")
-    write_labels(corpus.pool_truth, run.data / "pool_truth.tsv")
-    run.record("data/pool.emb", "data/pool_truth.tsv")
-    run.save_dataset(select_truth, "select_truth")
-    run.save_dataset(val_ood, "val_ood")
-    run.save_dataset(test_ood, "test_ood")
+    run.save("config.json", run.text_file, canonical_json(dataclasses.asdict(config)) + "\n")
+    run.save_dataset("train_id", corpus.train_id)
+    run.save_dataset("val_id", corpus.val_id)
+    run.save_dataset("test_id", corpus.test_id)
+    run.save_dataset("superset", superset)
+    run.save("data/pool.emb", write_embeddings, corpus.pool_unlabeled)
+    run.save("data/pool_truth.tsv", write_labels, corpus.pool_truth)
+    run.save_dataset("select_truth", select_truth)
+    run.save_dataset("val_ood", val_ood)
+    run.save_dataset("test_ood", test_ood)
     n_pool = corpus.pool_truth.rows
     print(f"gen-data: wrote corpus (pool {n_pool} rows, eval split "
-          f"{n_pool - select_truth.rows}) to {run.data}")
+          f"{n_pool - select_truth.rows}) to {run.path('data')}")
 
 
 def cmd_train(run: _Run, args) -> None:
+    """Run one training stage (pretrain, lp, or ft)."""
     plan = run.config.plan
-    prior = run.config.prior()
     if args.stage == "pretrain":
-        superset = run.load_dataset("superset", "gen-data")
-        theta, trace = pretrain_backbone(superset, plan)
-        save_checkpoint(theta, run.path("backbone.ckpt"))
-        run.record("backbone.ckpt")
+        theta, trace = pretrain_backbone(run.load_dataset("superset"), plan)
+        run.save("backbone.ckpt", save_checkpoint, theta)
         print(f"pretrain: {plan.pretrain_epochs} epochs, "
               f"final loss {trace[-1].total:.4f} -> backbone.ckpt")
         return
-    train = run.load_dataset("train_id", "gen-data")
-    d_aug_path = run.data / "d_aug.emb"
-    if d_aug_path.exists():
-        data = merge_datasets(train, run.load_dataset("d_aug", "select"))
-    else:
-        data = train
-    if args.stage == "lp":
-        theta = run.load_backbone()
-        phi_lp, trace = linear_probe(theta, data, prior, plan)
-        save_checkpoint(phi_lp, run.path("phi_lp.ckpt"))
-        run.record("phi_lp.ckpt")
-        print(f"lp: {plan.lp_epochs} epochs on {data.rows} rows, "
-              f"final loss {trace[-1].total:.4f} -> phi_lp.ckpt")
-    else:
-        phi_lp = load_checkpoint(run.require("phi_lp.ckpt", "train --stage lp"))
-        phi_ft, trace = full_finetune(phi_lp, data, prior, plan)
-        save_checkpoint(phi_ft, run.path("phi_ft.ckpt"))
-        run.record("phi_ft.ckpt")
-        final = trace[-1].total if trace else float("nan")
-        print(f"ft: {plan.ft_epochs} epochs on {data.rows} rows, "
-              f"final loss {final:.4f} -> phi_ft.ckpt")
+    data = run.load_dataset("train_id")
+    if run.path("data/d_aug.emb").exists():
+        data = merge_datasets(data, run.load_dataset("d_aug"))
+    start, train = {"lp": ("backbone.ckpt", linear_probe),
+                    "ft": ("phi_lp.ckpt", full_finetune)}[args.stage]
+    model, trace = train(run.load(start, load_checkpoint), data, run.config.prior(), plan)
+    name = f"phi_{args.stage}.ckpt"
+    run.save(name, save_checkpoint, model)
+    final = trace[-1].total if trace else float("nan")
+    epochs = getattr(plan, f"{args.stage}_epochs")
+    print(f"{args.stage}: {epochs} epochs on {data.rows} rows, "
+          f"final loss {final:.4f} -> {name}")
 
 
 def cmd_fit_ood(run: _Run, args) -> None:
+    """Calibrate the two selection thresholds."""
     backbone, stats, index = _representation_setup(run)
     policy = run.config.policy
-    thresholds = calibrate(
-        backbone, stats, index,
-        run.load_dataset("val_id", "gen-data"),
-        run.load_dataset("val_ood", "gen-data"),
-        policy,
-    )
-    save_thresholds(thresholds, run.path("thresholds.json"))
-    run.record("thresholds.json")
+    val_id, val_ood = run.load_dataset("val_id"), run.load_dataset("val_ood")
+    thresholds = calibrate(backbone, stats, index, val_id, val_ood, policy)
+    run.save("thresholds.json", save_thresholds, thresholds)
     print(f"fit-ood: policy {policy.mode} -> d1 {thresholds.d1:.6g} "
           f"d2 {thresholds.d2:.6g} -> thresholds.json")
 
 
 def cmd_select(run: _Run, args) -> None:
-    thresholds = load_thresholds(run.require("thresholds.json", "fit-ood"))
+    """Score the pool and emit the selected, oracle-labeled rows."""
+    thresholds = run.load("thresholds.json", load_thresholds)
     backbone, stats, index = _representation_setup(run)
-    select_truth = run.load_dataset("select_truth", "gen-data")
+    select_truth = run.load_dataset("select_truth")
     report, d_aug = select_rows(backbone, stats, index, thresholds, select_truth)
-    write_score_report(report, run.path("score_report.tsv"))
-    run.save_dataset(d_aug, "d_aug")
-    run.record("score_report.tsv")
+    run.save("score_report.tsv", write_score_report, report)
+    run.save_dataset("d_aug", d_aug)
     n_ood = int(np.count_nonzero(d_aug.origin == int(Origin.OOD)))
     print(f"select: {d_aug.rows} of {select_truth.rows} rows selected "
           f"({n_ood} true shifted) -> score_report.tsv, data/d_aug.*")
 
 
+def _stage_checkpoints(run: _Run):
+    return run.load("phi_lp.ckpt", load_checkpoint), run.load("phi_ft.ckpt", load_checkpoint)
+
+
+def _blend(run: _Run, alpha: float):
+    return interpolate(*_stage_checkpoints(run), alpha)
+
+
 def cmd_interpolate(run: _Run, args) -> None:
-    phi_lp = load_checkpoint(run.require("phi_lp.ckpt", "train --stage lp"))
-    phi_ft = load_checkpoint(run.require("phi_ft.ckpt", "train --stage ft"))
+    """Blend the probe and fine-tune checkpoints."""
     alpha = run.config.alpha
-    blended = interpolate(phi_lp, phi_ft, alpha)
     name = f"phi_alpha_{alpha:g}.ckpt"
-    save_checkpoint(blended, run.path(name))
-    run.record(name)
+    run.save(name, save_checkpoint, _blend(run, alpha))
     print(f"interpolate: alpha {alpha:g} -> {name}")
 
 
 def cmd_sweep_alpha(run: _Run, args) -> None:
-    phi_lp = load_checkpoint(run.require("phi_lp.ckpt", "train --stage lp"))
-    phi_ft = load_checkpoint(run.require("phi_ft.ckpt", "train --stage ft"))
-    val_id = run.load_dataset("val_id", "gen-data")
-    val_ood = run.load_dataset("val_ood", "gen-data")
+    """Evaluate every blend coefficient on validation data."""
+    phi_lp, phi_ft = _stage_checkpoints(run)
+    val_id, val_ood = run.load_dataset("val_id"), run.load_dataset("val_ood")
     result = alpha_sweep(phi_lp, phi_ft, run.config.plan.alpha_grid, val_id, val_ood)
-    write_alpha_table(result, run.path("alpha_sweep.tsv"), meta=run.header())
-    run.path("best_alpha.json").write_text(
-        json.dumps({"best_alpha": result.best_alpha}) + "\n", encoding="utf-8"
-    )
-    run.record("alpha_sweep.tsv", "best_alpha.json")
+    run.save("alpha_sweep.tsv", write_alpha_table, result, run.header())
+    text = json.dumps({"best_alpha": result.best_alpha}) + "\n"
+    run.save("best_alpha.json", run.text_file, text)
     print(f"sweep-alpha: best alpha {result.best_alpha:g} "
           f"(combined f1 {result.best_row.combined:.4f}) -> alpha_sweep.tsv")
 
 
 def _deployed_checkpoint(run: _Run):
     """The blend the run deploys: sweep-selected if present, else config alpha."""
-    best_path = run.path("best_alpha.json")
-    if best_path.exists():
-        alpha = run.read_json("best_alpha.json").get("best_alpha")
-        if type(alpha) not in (int, float) or not 0.0 <= alpha <= 1.0:
-            raise DataFormatError(
-                f"{best_path}: best_alpha must be a number in [0, 1], got {alpha!r}"
-            )
-    else:
-        alpha = run.config.alpha
-    name = f"phi_alpha_{alpha:g}.ckpt"
-    if run.path(name).exists():
-        return load_checkpoint(run.path(name)), alpha
-    phi_lp = load_checkpoint(run.require("phi_lp.ckpt", "train --stage lp"))
-    phi_ft = load_checkpoint(run.require("phi_ft.ckpt", "train --stage ft"))
-    return interpolate(phi_lp, phi_ft, alpha), alpha
+    alpha = run.config.alpha
+    if run.path("best_alpha.json").exists():
+        alpha = run.load("best_alpha.json", _best_alpha)
+    return _blend(run, alpha), alpha
 
 
 def cmd_eval(run: _Run, args) -> None:
+    """Metrics for the deployed blend on both test sets."""
     model, alpha = _deployed_checkpoint(run)
     pair = evaluate_model(
         model,
-        run.load_dataset("val_id", "gen-data"),
-        run.load_dataset("test_id", "gen-data"),
-        run.load_dataset("test_ood", "gen-data"),
+        run.load_dataset("val_id"),
+        run.load_dataset("test_id"),
+        run.load_dataset("test_ood"),
     )
     lines = [f"# {run.header()} alpha {alpha:g}"]
     lines.append("split\tmacro_f1\taccuracy\tf1_ir\tf1_wr\tf1_sr\tn")
@@ -392,29 +400,27 @@ def cmd_eval(run: _Run, args) -> None:
             f"\t{grade_f1['IR']:.4f}\t{grade_f1['WR']:.4f}\t{grade_f1['SR']:.4f}"
             f"\t{m.n}"
         )
-    run.path("metrics.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    run.record("metrics.tsv")
+    run.save("metrics.tsv", run.text_file, "\n".join(lines) + "\n")
     print("\n".join(lines[1:]))
     print("eval: -> metrics.tsv")
 
 
 def cmd_hist(run: _Run, args) -> None:
+    """Per-grade score histogram of the deployed blend."""
     model, _ = _deployed_checkpoint(run)
-    test_id = run.load_dataset("test_id", "gen-data")
+    test_id = run.load_dataset("test_id")
     scores = predict_scores(model, test_id.embeddings.data)
     report = score_histogram(scores, test_id.grades)
-    write_histogram(report, run.path("hist.tsv"))
-    run.record("hist.tsv")
+    run.save("hist.tsv", write_histogram, report)
     print(f"hist: overlap(WR,SR) {report.overlap_wr_sr:.4f} -> hist.tsv")
 
 
 def cmd_ablate(run: _Run, args) -> None:
+    """Four-rung ablation ladder over the trend seeds."""
     config = run.config
     seeds = config.trend_seeds
     tables = [run_ablation(config, seed) for seed in seeds]
-    run.make_dir(run.root)
-    write_ablation_tables(tables, run.path("ablation.tsv"), config)
-    run.record("ablation.tsv")
+    run.save("ablation.tsv", write_ablation_tables, tables, config)
     effects = [occ_effect(config, seed) for seed in seeds]
     drop = float(np.mean([e.overlap_drop for e in effects]))
     gain = float(np.mean([e.wr_mid_gain for e in effects]))
@@ -423,44 +429,29 @@ def cmd_ablate(run: _Run, args) -> None:
 
 
 def cmd_sweep_budget(run: _Run, args) -> None:
+    """Ranked-versus-random augmentation budget sweep."""
     config = run.config
     seeds = config.trend_seeds
     rows = {seed: budget_sweep(config, seed, config.budgets) for seed in seeds}
-    run.make_dir(run.root)
-    write_budget_table(rows, run.path("budget_sweep.tsv"), config)
-    run.record("budget_sweep.tsv")
+    run.save("budget_sweep.tsv", write_budget_table, rows, config)
     print(f"sweep-budget: {len(seeds)} seeds x {len(config.budgets)} budgets "
           f"-> budget_sweep.tsv")
 
 
 def cmd_pipeline(run: _Run, args) -> None:
-    cmd_gen_data(run, args)
-    args.stage = "pretrain"
-    cmd_train(run, args)
-    cmd_fit_ood(run, args)
-    cmd_select(run, args)
-    args.stage = "lp"
-    cmd_train(run, args)
-    args.stage = "ft"
-    cmd_train(run, args)
-    cmd_sweep_alpha(run, args)
-    cmd_eval(run, args)
-    cmd_hist(run, args)
+    """Run every stage end to end."""
+    for producer in dict.fromkeys(_PRODUCERS.values()):
+        command, _, stage = producer.partition(" --stage ")
+        _COMMANDS[command](run, argparse.Namespace(stage=stage))
     print(f"pipeline: complete in {run.root}")
 
 
+# subcommand name -> function: cmd_sweep_alpha is `sweep-alpha`
 _COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "fit-ood": cmd_fit_ood,
-    "select": cmd_select,
-    "train": cmd_train,
-    "interpolate": cmd_interpolate,
-    "sweep-alpha": cmd_sweep_alpha,
-    "eval": cmd_eval,
-    "hist": cmd_hist,
-    "ablate": cmd_ablate,
-    "sweep-budget": cmd_sweep_budget,
-    "pipeline": cmd_pipeline,
+    fn.__name__[4:].replace("_", "-"): fn
+    for fn in (cmd_gen_data, cmd_fit_ood, cmd_select, cmd_train, cmd_interpolate,
+               cmd_sweep_alpha, cmd_eval, cmd_hist, cmd_ablate, cmd_sweep_budget,
+               cmd_pipeline)
 }
 
 
@@ -487,21 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--print-config", action="store_true",
                         help="print the resolved config as JSON and exit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    helps = {
-        "gen-data": "generate the synthetic corpus and all data splits",
-        "fit-ood": "calibrate the two selection thresholds",
-        "select": "score the pool and emit the selected, oracle-labeled rows",
-        "train": "run one training stage (pretrain, lp, or ft)",
-        "interpolate": "blend the probe and fine-tune checkpoints",
-        "sweep-alpha": "evaluate every blend coefficient on validation data",
-        "eval": "metrics for the deployed blend on both test sets",
-        "hist": "per-grade score histogram of the deployed blend",
-        "ablate": "four-rung ablation ladder over the trend seeds",
-        "sweep-budget": "ranked-versus-random augmentation budget sweep",
-        "pipeline": "run every stage end to end",
-    }
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=helps[name])
+        p = sub.add_parser(name, parents=[common], help=fn.__doc__)
         if name == "train":
             p.add_argument("--stage", choices=("pretrain", "lp", "ft"),
                            required=True, help="which training stage to run")

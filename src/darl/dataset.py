@@ -514,12 +514,10 @@ def load_labels(path: str | Path) -> dict[str, tuple[RelevanceGrade, Origin]]:
     return out
 
 
-def load_labeled_dataset(
-    embeddings_path: str | Path, labels_path: str | Path
+def join_labels(
+    matrix: EmbeddingMatrix, labels: dict[str, tuple[RelevanceGrade, Origin]]
 ) -> LabeledDataset:
-    """Join an embedding file with its label TSV by row id."""
-    matrix = load_embeddings(embeddings_path)
-    labels = load_labels(labels_path)
+    """Label an embedding matrix from its ``load_labels`` table, by row id."""
     missing = [rid for rid in matrix.ids if rid not in labels]
     if missing:
         raise DataFormatError(

@@ -86,9 +86,7 @@ def fit_grade_thresholds(val_scores, val_grades) -> GradeThresholds:
         )
         return GradeThresholds(*DEGENERATE_THRESHOLDS)
 
-    cand = np.unique(
-        [order_stat_quantile(scores, p / 100.0) for p in GRID_PERCENTILES]
-    )
+    cand = np.unique(order_stat_quantile(scores, np.asarray(GRID_PERCENTILES) / 100.0))
     cand = cand[(cand > 0.0) & (cand < 1.0)]
     if cand.size < 2:
         warnings.warn(

@@ -328,8 +328,8 @@ def calibrate_thresholds(
     )
     g = policy.grid_points
     levels = [(i + 1) / g for i in range(g)]
-    cand_m = np.array([order_stat_quantile(pool_m, lv) for lv in levels])
-    cand_k = np.array([order_stat_quantile(pool_k, lv) for lv in levels])
+    cand_m = order_stat_quantile(pool_m, levels)
+    cand_k = order_stat_quantile(pool_k, levels)
     best = None
     n_pos = int(labels.sum())
     for d1 in cand_m:

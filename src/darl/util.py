@@ -26,23 +26,24 @@ def sub_rng(seed: int, *tags: str | int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def order_stat_quantile(values: np.ndarray, level: float) -> float:
+def order_stat_quantile(values: np.ndarray, level: float | np.ndarray):
     """Quantile as the ceil(level * n)-th order statistic.
 
     With threshold t = order_stat_quantile(v, 1 - a), the count of values
     strictly above t is at most a * n.  level <= 0 maps to -inf so a
-    strict ``>`` rule flags everything.
+    strict ``>`` rule flags everything.  An array of levels sorts the values
+    once and returns an array of quantiles; a scalar level returns a float.
     """
     v = np.sort(np.asarray(values, dtype=np.float64))
     n = v.size
     if n == 0:
         raise ValueError("quantile of empty sample")
-    if level <= 0.0:
-        return -math.inf
-    t = level * n
+    levels = np.asarray(level, dtype=np.float64)
+    t = levels * n
     # tolerate float noise when level * n is an exact integer
-    k = min(n, max(1, math.ceil(t - 1e-9 * max(1.0, t))))
-    return float(v[k - 1])
+    k = np.clip(np.ceil(t - 1e-9 * np.maximum(1.0, t)), 1, n).astype(np.intp)
+    out = np.where(levels <= 0.0, -math.inf, v[k - 1])
+    return float(out) if out.ndim == 0 else out
 
 
 def canonical_json(obj: Any) -> str:

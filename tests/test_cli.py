@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darl import cli
 from darl.cli import RunConfig, main
 
 TINY_JSON = {
@@ -291,6 +292,7 @@ EXPECTED_ARTIFACTS = (
 def test_pipeline_products_exist(pipeline_run):
     for name in EXPECTED_ARTIFACTS:
         assert (pipeline_run / name).is_file(), name
+    assert not list(pipeline_run.rglob("*.tmp"))
 
 
 def test_manifest_hashes_match_files(pipeline_run):
@@ -389,6 +391,68 @@ def test_non_utf8_run_file_names_the_file(
     assert code == 2
     assert name in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("select", "thresholds.json"), ("eval", "data/test_id.tsv"), ("eval", "best_alpha.json")],
+    ids=["thresholds", "labels", "best-alpha"],
+)
+def test_directory_in_place_of_an_artifact_is_missing(
+    tiny_config_path, pipeline_run, tmp_path, capsys, command, name
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(pipeline_run, run_dir)
+    path = run_dir / name
+    path.unlink()
+    path.mkdir()
+    code = main([command, "--config", tiny_config_path, "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(path) in err
+    assert "missing artifact" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name, corrupt",
+    [
+        (["sweep-alpha"], "phi_lp.ckpt", lambda blob: blob[:2]),
+        (["eval"], "phi_ft.ckpt", lambda blob: blob[:-1] + bytes([blob[-1] ^ 1])),
+        (["train", "--stage", "lp"], "data/train_id.emb", lambda blob: blob[:20]),
+    ],
+    ids=["checkpoint-2-bytes", "checkpoint-crc-bit", "embeddings-20-bytes"],
+)
+def test_load_error_names_the_file(
+    tiny_config_path, pipeline_run, tmp_path, capsys, argv, name, corrupt
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(pipeline_run, run_dir)
+    path = run_dir / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    code = main([*argv, "--config", tiny_config_path, "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_interrupted_write_keeps_the_old_artifact(
+    tiny_config_path, pipeline_run, tmp_path, monkeypatch
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(pipeline_run, run_dir)
+    before = (run_dir / "hist.tsv").read_bytes()
+
+    def half_written(report, path):
+        Path(path).write_bytes(before[: len(before) // 2])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_histogram", half_written)
+    with pytest.raises(KeyboardInterrupt):
+        main(["hist", "--config", tiny_config_path, "--run-dir", str(run_dir)])
+    assert (run_dir / "hist.tsv").read_bytes() == before
+    assert not list(run_dir.rglob("*.tmp"))
 
 
 def test_run_dir_that_is_a_file_is_named(tiny_config_path, tmp_path, capsys):

@@ -19,8 +19,8 @@ from darl.dataset import (
     SyntheticConfig,
     generate_pretrain_superset,
     generate_synthetic,
+    join_labels,
     load_embeddings,
-    load_labeled_dataset,
     load_labels,
     merge_datasets,
     write_embeddings,
@@ -440,7 +440,7 @@ def test_load_labeled_dataset_joins_by_id(tmp_path):
     lines = write_labels_lines(d)
     header, body = lines[0], lines[1:]
     lab_path.write_text("\n".join([header] + body[::-1]) + "\n", encoding="utf-8")
-    back = load_labeled_dataset(emb_path, lab_path)
+    back = join_labels(load_embeddings(emb_path), load_labels(lab_path))
     assert back.ids == d.ids
     np.testing.assert_array_equal(back.grades, d.grades)
     np.testing.assert_array_equal(back.origin, d.origin)
@@ -464,12 +464,12 @@ def test_load_labeled_dataset_rejects_missing_and_extra_labels(tmp_path):
     lines = write_labels_lines(d)
     lab_path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
-        load_labeled_dataset(emb_path, lab_path)
+        join_labels(load_embeddings(emb_path), load_labels(lab_path))
     lab_path.write_text(
         "\n".join(lines + ["extra\tSR\tID"]) + "\n", encoding="utf-8"
     )
     with pytest.raises(DataFormatError):
-        load_labeled_dataset(emb_path, lab_path)
+        join_labels(load_embeddings(emb_path), load_labels(lab_path))
 
 
 # ---------------------------------------------------------------------------

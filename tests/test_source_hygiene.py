@@ -1,6 +1,7 @@
 """Static checks on the package source: no dead imports, no private cross-module imports."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,17 @@ def test_public_api_has_a_non_test_caller():
         if name not in (attrs if is_method else names)
     )
     assert unused == [], "public API that only tests reach"
+
+
+def test_cli_writes_only_through_the_run():
+    # every run-directory write goes through _Run.save (a .tmp file renamed
+    # into place), so an interrupted stage cannot leave a half-written artifact
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    run = next(
+        node for node in _tree(cli).body
+        if isinstance(node, ast.ClassDef) and node.name == "_Run"
+    )
+    lines = cli.read_text(encoding="utf-8").splitlines()
+    outside = lines[: run.lineno - 1] + lines[run.end_lineno :]
+    writes = re.compile(r"write_text|write_bytes|\bopen\(|os\.replace")
+    assert [line for line in outside if writes.search(line)] == []

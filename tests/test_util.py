@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from darl.util import (
@@ -73,6 +73,40 @@ def test_quantile_bounds_strict_exceedance(values, alpha):
     v = np.array(values, dtype=np.float64)
     t = order_stat_quantile(v, 1.0 - alpha)
     assert np.count_nonzero(v > t) <= alpha * v.size
+
+
+def _scalar_quantile(values, level: float) -> float:
+    """Reference for one level: its own sort and Python's ``math.ceil``."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    if level <= 0.0:
+        return -math.inf
+    t = level * v.size
+    return float(v[min(v.size, max(1, math.ceil(t - 1e-9 * max(1.0, t)))) - 1])
+
+
+# the threshold-fit percentiles and every f1 calibration grid up to 41 points
+GRID_LEVELS = sorted(
+    {p / 100.0 for p in range(1, 100)}
+    | {(i + 1) / g for g in range(1, 42) for i in range(g)}
+)
+
+
+@given(
+    st.integers(1, 3_000),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-0.5, 1.5), max_size=20),
+)
+@example(100, 0, [])
+@example(2_000, 1, [])
+@example(1_050, 2, [])
+def test_order_stat_quantile_array_matches_scalar(n, seed, extra):
+    # two decimals give heavy ties; n divisible by 100 or 21 hits exact t
+    values = np.round(np.random.default_rng(seed).random(n), 2)
+    levels = [0.0, -0.25, *GRID_LEVELS, *extra]
+    got = order_stat_quantile(values, np.array(levels))
+    assert isinstance(got, np.ndarray) and got.shape == (len(levels),)
+    for level, q in zip(levels, got.tolist()):
+        assert q == _scalar_quantile(values, level) == order_stat_quantile(values, level)
 
 
 def test_canonical_json_is_sorted_and_compact():
