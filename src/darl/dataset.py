@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -56,6 +57,10 @@ _GRADE_TOKENS = [grade.name for grade in sorted(RelevanceGrade)]
 _ORIGIN_TOKENS = [origin.name for origin in sorted(Origin)]
 _GRADES = {grade.name: grade for grade in RelevanceGrade}
 _ORIGINS = {origin.name: origin for origin in Origin}
+# (grade token, origin token) -> the label pair ``load_labels`` returns
+_LABELS = {
+    (g, o): (grade, origin) for g, grade in _GRADES.items() for o, origin in _ORIGINS.items()
+}
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -489,13 +494,33 @@ def write_labels(dataset: LabeledDataset, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> dict[str, tuple[RelevanceGrade, Origin]]:
-    """Parse the label TSV into an ordered id -> (grade, origin) mapping."""
+    """Parse the label TSV into an ordered id -> (grade, origin) mapping.
+
+    A well-formed file is parsed a column at a time; any fault sends it
+    through the line-by-line parse, which names the first bad line.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"label file {path} is not UTF-8: {exc}") from exc
     if not lines or lines[0] != LABEL_HEADER:
         raise DataFormatError(f"label file {path} missing header {LABEL_HEADER!r}")
+    rows = list(filter(None, lines[1:]))
+    if set(map(str.count, rows, repeat("\t"))) == {2}:
+        cells = "\t".join(rows).split("\t")
+        ids = cells[0::3]
+        try:
+            labels = map(_LABELS.__getitem__, zip(cells[1::3], cells[2::3]))
+            out = dict(zip(ids, labels))
+        except KeyError:  # an unknown token
+            out = {}
+        if len(out) == len(ids):  # else an unknown token or a duplicate id
+            return out
+    return _parse_label_lines(lines)
+
+
+def _parse_label_lines(lines: list[str]) -> dict[str, tuple[RelevanceGrade, Origin]]:
+    """Parse the label TSV one line at a time; raises at the first bad line."""
     out: dict[str, tuple[RelevanceGrade, Origin]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:

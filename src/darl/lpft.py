@@ -21,11 +21,11 @@ from .model import (
     LossValues,
     ModelArch,
     ModelParams,
+    StageObjective,
     adam_step,
     init_model,
     init_opt,
     interpolate,
-    loss_and_grad,
     predict_scores,
 )
 from .util import sub_rng
@@ -97,14 +97,17 @@ def run_training(
 
     Batch order is a fresh seeded permutation per epoch; the trace entry for
     an epoch is the size-weighted mean of its batch losses.  Adam updates a
-    copy of the parameters in place; each step's read-only ``ModelParams``
-    view of it raises at the step where training diverges.
+    copy of the parameters in place, which the stage's objective reads
+    through a read-only view, and raises at the step where training diverges.
     """
     if x.shape[0] == 0:
         raise DataFormatError(f"stage {stage!r} received an empty dataset")
     arch = params.arch
     opt = init_opt(arch, lr=lr, trainable=trainable)
     vec = params.values.copy()
+    objective = StageObjective(
+        ModelParams(arch, vec.view()), x, grades, prior, trainable, batch_size
+    )
     rng = sub_rng(seed, "batch-order", stage)
     n = x.shape[0]
     trace: list[LossValues] = []
@@ -113,11 +116,8 @@ def run_training(
         total = np.zeros(3)
         for start in range(0, n, batch_size):
             take = perm[start : start + batch_size]
-            values, grad = loss_and_grad(
-                ModelParams(arch, vec.view()), x[take], grades[take], prior,
-                trainable=trainable,
-            )
-            adam_step(opt, vec, grad)
+            values = objective(take)
+            adam_step(opt, vec, objective.grad)
             total += np.array(values) * take.size
         trace.append(LossValues(*(total / n)))
     return ModelParams(arch, vec), trace
@@ -192,8 +192,6 @@ def full_finetune(
             f"checkpoint expects {phi_lp.arch.input_dims}-dim inputs, "
             f"dataset has {d_aug.embeddings.dims}"
         )
-    if plan.ft_epochs == 0:
-        return phi_lp.replace_values(phi_lp.values.copy()), []
     x, grades = _dataset_arrays(d_aug)
     return run_training(
         phi_lp, x, grades, prior,

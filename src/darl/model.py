@@ -180,8 +180,11 @@ class ForwardResult(NamedTuple):
     reps: np.ndarray
 
 
-def _check_inputs(arch: ModelArch, x: np.ndarray) -> np.ndarray:
-    batch = np.asarray(x, dtype=np.float64)
+def _check_inputs(arch: ModelArch, x: np.ndarray, widen: bool = True) -> np.ndarray:
+    """``x`` as finite (n, input_dims) rows: float64, or kept float32 if not ``widen``."""
+    batch = np.asarray(x)
+    if widen or batch.dtype != np.float32:
+        batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 1:
         batch = batch[None, :]
     if batch.ndim != 2 or batch.shape[1] != arch.input_dims:
@@ -195,48 +198,57 @@ def _check_inputs(arch: ModelArch, x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    p = e / d
+    np.divide(1.0, d, out=p, where=z >= 0)
+    return p
+
+
+def _hidden(views, a: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
+    """Run the hidden layers on rows ``a``; layer i's activation goes to ``outs[i]``."""
+    for (w, b), out in zip(views[:-1], outs):
+        np.matmul(a, w, out=out)
+        out += b
+        a = np.tanh(out, out=out)
+    return a
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
-    """Probabilities, logits, and representations for a batch of inputs."""
+    """Probabilities, logits, and representations for a batch of inputs.
+
+    One pass, never blocks: the head's product rounds differently per row count.
+    """
     batch = _check_inputs(params.arch, x)
-    probs, logits, activations = _forward_full(params, batch)
-    return ForwardResult(probs=probs, logits=logits, reps=activations[-1])
+    views = _layer_views(params.arch, params.values)
+    reps = _hidden(views, batch, [np.empty((len(batch), w)) for w in params.arch.hidden])
+    head_w, head_b = views[-1]
+    logits = (reps @ head_w + head_b)[:, 0]
+    return ForwardResult(probs=_sigmoid(logits), logits=logits, reps=reps)
 
 
-def representations(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Penultimate-layer activations, the space used for OOD scoring."""
-    return forward_batch(params, x).reps
+def representations(params: ModelParams, x: np.ndarray, block: int = 4096) -> np.ndarray:
+    """Penultimate-layer activations, the space used for OOD scoring.
+
+    Only the hidden layers run, ``block`` rows at a time.  All blocks have
+    the same size (the last overlaps its predecessor), so BLAS never takes
+    its one-row path, which rounds differently: rows match ``forward_batch``.
+    """
+    arch = params.arch
+    rows = _check_inputs(arch, x, widen=False)
+    n = rows.shape[0]
+    views = _layer_views(arch, params.values)
+    reps = np.empty((n, arch.rep_dims))
+    width = min(n, block)
+    outs = [np.empty((width, w)) for w in arch.hidden[:-1]]
+    for start in range(0, n, max(width, 1)):
+        part = slice(min(start, n - width), min(start, n - width) + width)
+        _hidden(views, np.asarray(rows[part], dtype=np.float64), [*outs, reps[part]])
+    return reps
 
 
 def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return forward_batch(params, x).probs
-
-
-def _forward_full(
-    params: ModelParams, batch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Forward pass keeping every activation for backprop.
-
-    Returns (probs, logits, activations) where activations[i] is the output
-    of hidden layer i and activations[-1] is the representation feeding the
-    head.
-    """
-    views = _layer_views(params.arch, params.values)
-    activations: list[np.ndarray] = []
-    a = batch
-    for w, b in views[:-1]:
-        a = np.tanh(a @ w + b)
-        activations.append(a)
-    head_w, head_b = views[-1]
-    logits = (a @ head_w + head_b)[:, 0]
-    return _sigmoid(logits), logits, activations
 
 
 @dataclass(frozen=True)
@@ -280,60 +292,114 @@ class LossValues(NamedTuple):
     kl: float
 
 
-def _check_grades(grades: np.ndarray, n: int) -> np.ndarray:
-    g = np.asarray(grades)
-    if g.shape != (n,):
-        raise DimensionMismatchError(
-            f"grades have shape {g.shape}, expected ({n},)"
-        )
-    if g.size and (g.min() < 0 or g.max() > 2):
-        bad = int(g[(g < 0) | (g > 2)][0])
-        raise DataFormatError(f"grade value {bad} has no prior table row")
-    return g.astype(np.intp)
+class StageObjective:
+    """Mean calibrated loss and its exact gradient over one stage's rows.
 
-
-def _forward_loss(
-    params: ModelParams,
-    x: np.ndarray,
-    grades: np.ndarray,
-    prior: CalibrationPrior | None,
-) -> tuple[np.ndarray, list[np.ndarray], LossValues, np.ndarray]:
-    """One validated forward pass with its mean loss.
-
-    Returns (batch, activations, loss values, per-sample dL/dlogit of the
-    summed objective).
+    Built once per stage: it checks the rows and grades, looks up each row's
+    loss targets and allocates buffers for ``batch_size`` rows.  It reads the
+    weights through views of ``params.values``, so it sees in-place updates.
+    A call evaluates a batch of rows and leaves the gradient in ``grad``.  A
+    head-only stage computes all frozen representations once; a one-row batch
+    runs its own forward pass, since BLAS rounds a one-row product differently.
     """
-    batch = _check_inputs(params.arch, x)
-    if batch.shape[0] == 0:
-        raise DataFormatError("loss needs a nonempty batch")
-    g = _check_grades(grades, batch.shape[0])
-    probs, logits, activations = _forward_full(params, batch)
-    n = logits.size
-    y = _BINARY_TARGET[g]
-    # binary cross-entropy from logits: softplus(z) - y*z
-    ce_each = np.logaddexp(0.0, logits) - y * logits
-    dz = probs - y
-    kl = 0.0
-    if prior is not None:
-        q1 = prior.positive_mass()[g]
-        q0 = 1.0 - q1
-        log_p = -np.logaddexp(0.0, -logits)
-        log_1mp = -np.logaddexp(0.0, logits)
-        kl_each = probs * (log_p - np.log(q1)) + (1.0 - probs) * (
-            log_1mp - np.log(q0)
-        )
-        kl = float(kl_each.mean())
-        # d KL / dz = p(1-p) * (z - logit(q1))
-        dz = dz + probs * (1.0 - probs) * (logits - prior.target_logits()[g])
-    ce = float(ce_each.mean())
-    return batch, activations, LossValues(total=ce + kl, ce=ce, kl=kl), dz / n
+
+    def __init__(
+        self, params: ModelParams, x: np.ndarray, grades: np.ndarray,
+        prior: CalibrationPrior | None, trainable: str = "all",
+        batch_size: int | None = None,
+    ) -> None:
+        arch = params.arch
+        region = trainable_slice(arch, trainable)
+        self._x = _check_inputs(arch, x)
+        n = self._x.shape[0]
+        if n == 0:
+            raise DataFormatError("loss needs a nonempty batch")
+        g = np.asarray(grades)
+        if g.shape != (n,):
+            raise DimensionMismatchError(f"grades have shape {g.shape}, expected ({n},)")
+        if g.min() < 0 or g.max() > 2:
+            bad = int(g[(g < 0) | (g > 2)][0])
+            raise DataFormatError(f"grade value {bad} has no prior table row")
+        g = g.astype(np.intp)
+        # per-row hard target, then the prior's log q1, log q0 and logit q1
+        tables = [_BINARY_TARGET[g]]
+        if prior is not None:
+            q1 = prior.positive_mass()[g]
+            tables += [np.log(q1), np.log(1.0 - q1), prior.target_logits()[g]]
+        self._tables = np.stack(tables, axis=1)
+        self._head_grad = region.stop == arch.param_count
+        self._backbone_grad = region.start == 0
+        self._views = _layer_views(arch, params.values)
+        self.grad = np.zeros(arch.param_count, dtype=np.float64)
+        self._grad_views = _layer_views(arch, self.grad)
+        rows = n if batch_size is None else min(batch_size, n)
+        self._batch = np.empty((rows, arch.input_dims))
+        self._acts = [np.empty((rows, w)) for w in arch.hidden]
+        self._reps = None
+        if not self._backbone_grad and rows > 1:
+            # batch-sized blocks: larger products wake BLAS worker threads,
+            # whose spinning slows every small step that follows
+            self._reps = representations(params, self._x, block=rows)
+
+    def __call__(self, take: np.ndarray | None = None, backward: bool = True) -> LossValues:
+        """Mean loss over the in-range row indices ``take`` (default: all rows).
+
+        With ``backward`` on, ``grad`` becomes the gradient of that mean.  The
+        gathers use ``mode="clip"``: ``"raise"`` copies through a temporary.
+        """
+        take = np.arange(len(self._x)) if take is None else take
+        m = take.size
+        acts = [a[:m] for a in self._acts]
+        batch = None
+        if self._reps is not None and m > 1:
+            reps = self._reps.take(take, axis=0, out=acts[-1], mode="clip")
+        else:
+            batch = self._x.take(take, axis=0, out=self._batch[:m], mode="clip")
+            reps = _hidden(self._views, batch, acts)
+        head_w, head_b = self._views[-1]
+        z = (reps @ head_w + head_b)[:, 0]
+        p = _sigmoid(z)
+        targets = self._tables[take]
+        y = targets[:, 0]
+        # binary cross-entropy from logits: softplus(z) - y*z; each mean is
+        # np.mean's own sum / count, without its Python-level dispatch
+        softplus = np.logaddexp(0.0, z)
+        ce = float(np.add.reduce(softplus - y * z)) / m
+        dz = p - y
+        kl = 0.0
+        if targets.shape[1] > 1:
+            log_q1, log_q0, target_logit = targets[:, 1], targets[:, 2], targets[:, 3]
+            log_p = -np.logaddexp(0.0, -z)
+            kl_each = p * (log_p - log_q1) + (1.0 - p) * (-softplus - log_q0)
+            kl = float(np.add.reduce(kl_each)) / m
+            # d KL / dz = p(1-p) * (z - logit(q1))
+            dz = dz + p * (1.0 - p) * (z - target_logit)
+        if backward:
+            self._backward(batch, acts, dz / m)
+        return LossValues(total=ce + kl, ce=ce, kl=kl)
+
+    def _backward(self, batch, acts: list[np.ndarray], dz: np.ndarray) -> None:
+        """Write the gradient of the batch mean; ``dz`` is dL/dlogit per row."""
+        if self._head_grad:
+            gw, gb = self._grad_views[-1]
+            np.matmul(acts[-1].T, dz, out=gw[:, 0])
+            gb[0] = np.add.reduce(dz)
+        if self._backbone_grad:
+            head_w, _ = self._views[-1]
+            delta = dz[:, None] * head_w[:, 0][None, :]
+            for layer in range(len(acts) - 1, -1, -1):
+                a = acts[layer]
+                delta *= 1.0 - a * a
+                below = batch if layer == 0 else acts[layer - 1]
+                gw, gb = self._grad_views[layer]
+                np.matmul(below.T, delta, out=gw)
+                np.add.reduce(delta, axis=0, out=gb)
+                if layer > 0:
+                    delta = delta @ self._views[layer][0].T
 
 
 def loss(
-    params: ModelParams,
-    x: np.ndarray,
-    grades: np.ndarray,
-    prior: CalibrationPrior | None,
+    params: ModelParams, x: np.ndarray, grades: np.ndarray, prior: CalibrationPrior | None
 ) -> LossValues:
     """Mean calibrated training loss over a batch.
 
@@ -341,47 +407,16 @@ def loss(
     target and kl is the divergence from the predicted Bernoulli to the
     grade prior (natural log).  A missing prior drops the kl term.
     """
-    return _forward_loss(params, x, grades, prior)[2]
+    return StageObjective(params, x, grades, prior)(backward=False)
 
 
 def loss_and_grad(
-    params: ModelParams,
-    x: np.ndarray,
-    grades: np.ndarray,
-    prior: CalibrationPrior | None,
-    trainable: str = "all",
+    params: ModelParams, x: np.ndarray, grades: np.ndarray,
+    prior: CalibrationPrior | None, trainable: str = "all",
 ) -> tuple[LossValues, np.ndarray]:
-    """Loss plus the exact gradient restricted to the trainable slice.
-
-    The returned vector always has full parameter length with zeros
-    outside the selected slice.
-    """
-    arch = params.arch
-    region = trainable_slice(arch, trainable)
-    batch, activations, values, dz = _forward_loss(params, x, grades, prior)
-
-    grad_vec = np.zeros(arch.param_count, dtype=np.float64)
-    views = _layer_views(arch, params.values)
-    grad_views = _layer_views(arch, grad_vec)
-
-    if region.stop == arch.param_count:  # head trainable
-        gw, gb = grad_views[-1]
-        gw[:, 0] = activations[-1].T @ dz
-        gb[0] = dz.sum()
-    if region.start == 0:  # backbone trainable
-        head_w, _ = views[-1]
-        delta = dz[:, None] * head_w[:, 0][None, :]
-        for layer in range(len(arch.hidden) - 1, -1, -1):
-            a = activations[layer]
-            delta = delta * (1.0 - a * a)
-            below = batch if layer == 0 else activations[layer - 1]
-            gw, gb = grad_views[layer]
-            gw[...] = below.T @ delta
-            gb[...] = delta.sum(axis=0)
-            if layer > 0:
-                w, _ = views[layer]
-                delta = delta @ w.T
-    return values, grad_vec
+    """Loss plus its exact gradient: full parameter length, zero outside ``trainable``."""
+    objective = StageObjective(params, x, grades, prior, trainable)
+    return objective(), objective.grad
 
 
 @dataclass
@@ -402,7 +437,8 @@ def init_opt(arch: ModelArch, lr: float = 5e-4, trainable: str = "all") -> OptSt
 
 
 def adam_step(opt: OptState, values: np.ndarray, grad_vec: np.ndarray) -> None:
-    """One bias-corrected Adam update of ``values[opt.region]``, in place."""
+    """One bias-corrected Adam update of ``values[opt.region]`` in place; raises if
+    it leaves a non-finite value, so a diverging stage stops at that step."""
     if grad_vec.shape != values.shape:
         raise DimensionMismatchError(
             f"gradient has shape {grad_vec.shape}, expected {values.shape}"
@@ -413,9 +449,14 @@ def adam_step(opt: OptState, values: np.ndarray, grad_vec: np.ndarray) -> None:
     opt.m += (1.0 - _BETA1) * g
     opt.v *= _BETA2
     opt.v += (1.0 - _BETA2) * g * g
+    # lr * m_hat / (sqrt(v_hat) + eps), in that order
     m_hat = opt.m / (1.0 - _BETA1**t)
-    v_hat = opt.v / (1.0 - _BETA2**t)
-    values[opt.region] -= opt.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+    m_hat *= opt.lr
+    m_hat /= np.sqrt(opt.v / (1.0 - _BETA2**t)) + _EPS
+    region = values[opt.region]
+    region -= m_hat
+    if not np.all(np.isfinite(region)):
+        raise NonFiniteValueError("non-finite model parameter")
     opt.step = t
 
 

@@ -1,5 +1,6 @@
 """Data model, synthetic corpus generation, and file formats."""
 
+import re
 import struct
 
 import numpy as np
@@ -399,6 +400,44 @@ def test_labels_round_trip(tmp_path):
         grade, origin = table[rid]
         assert int(grade) == d.grades[i]
         assert int(origin) == d.origin[i]
+
+
+def _labels_line_by_line(path):
+    """Reference parse of a well-formed label TSV: one split per line."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    rows = (line.split("\t") for line in lines if line)
+    return {rid: (RelevanceGrade[g], Origin[o]) for rid, g, o in rows}
+
+
+def test_load_labels_matches_a_line_by_line_parse(tmp_path):
+    d = make_dataset(10_000, 2, seed=4)
+    path = tmp_path / "labels.tsv"
+    write_labels(d, path)
+    table = load_labels(path)
+    assert list(table.items()) == list(_labels_line_by_line(path).items())
+    assert list(table) == list(d.ids)
+    # blank lines are skipped wherever they sit
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([*lines[:500], "", *lines[500:], "", ""]), encoding="utf-8")
+    assert list(load_labels(path).items()) == list(table.items())
+
+
+@pytest.mark.parametrize(
+    "body,error,message",
+    [
+        # a four-cell line followed by a two-cell line still splits into triples
+        ("a\tSR\tID\tb\nIR\tID\n", DataFormatError, "line 2: expected 3 columns, got 4"),
+        ("a\tSR\tID\n\nb\tSR\n", DataFormatError, "line 4: expected 3 columns, got 2"),
+        ("a\tSR\tID\nb\tIR\tID\na\tWR\tOOD\n", DuplicateIdError, "line 4: duplicate id 'a'"),
+        ("a\tSR\tID\nb\tOK\tID\n", DataFormatError, "unknown grade token 'OK'"),
+        ("a\tSR\tid\n", DataFormatError, "unknown origin token 'id'"),
+    ],
+)
+def test_load_labels_names_the_bad_line(tmp_path, body, error, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text("id\tgrade\torigin\n" + body, encoding="utf-8")
+    with pytest.raises(error, match=re.escape(message)):
+        load_labels(path)
 
 
 def test_load_labels_requires_header(tmp_path):

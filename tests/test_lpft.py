@@ -1,6 +1,7 @@
 """Staged training: pretraining, linear probe, fine-tune, interpolation sweep."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from darl.errors import (
     DataFormatError,
     NonFiniteValueError,
 )
+from darl import lpft
 from darl.harness import ExperimentConfig, prepare
 from darl.lpft import (
     DEFAULT_ALPHA_GRID,
@@ -27,7 +29,19 @@ from darl.lpft import (
     write_alpha_table,
 )
 from darl.metrics import compute_metrics, fit_grade_thresholds
-from darl.model import ModelArch, init_model, loss, predict_scores
+from darl.model import (
+    CalibrationPrior,
+    LossValues,
+    ModelArch,
+    ModelParams,
+    adam_step,
+    init_model,
+    init_opt,
+    loss,
+    loss_and_grad,
+    predict_scores,
+)
+from darl.util import sub_rng
 
 # ---------------------------------------------------------------------------
 # plan validation
@@ -151,6 +165,73 @@ def test_run_training_rejects_a_diverging_stage():
             params, x, grades, None, epochs=1, lr=np.inf,
             trainable="all", batch_size=32, seed=9, stage="unit",
         )
+
+
+def _reference_training(
+    params, x, grades, prior, epochs, lr, trainable, batch_size, seed, stage
+):
+    """The loop ``run_training`` must reproduce: one checked call per batch."""
+    arch = params.arch
+    opt = init_opt(arch, lr=lr, trainable=trainable)
+    vec = params.values.copy()
+    rng = sub_rng(seed, "batch-order", stage)
+    n = x.shape[0]
+    trace = []
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        total = np.zeros(3)
+        for start in range(0, n, batch_size):
+            take = perm[start : start + batch_size]
+            values, grad = loss_and_grad(
+                ModelParams(arch, vec.view()), x[take], grades[take], prior,
+                trainable=trainable,
+            )
+            adam_step(opt, vec, grad)
+            total += np.array(values) * take.size
+        trace.append(LossValues(*(total / n)))
+    return ModelParams(arch, vec), trace
+
+
+ORACLE_SIZES = sorted(
+    {(bs, n) for bs in (1, 7, 64) for n in (1, 2, bs, bs + 1, 2 * bs + 1)}
+)
+
+
+@pytest.mark.parametrize("trainable", ["head", "all", "backbone"])
+@pytest.mark.parametrize("use_prior", [False, True], ids=["no-prior", "prior"])
+@pytest.mark.parametrize("batch_size,n", ORACLE_SIZES)
+def test_run_training_matches_the_per_batch_loop(trainable, use_prior, batch_size, n):
+    # bit for bit, including head stages whose last batch holds one row:
+    # that row must not be read from representations computed for all rows
+    arch = ModelArch()
+    rng = np.random.default_rng(1000 * batch_size + n)
+    x = rng.standard_normal((n, arch.input_dims)).astype(np.float32).astype(np.float64)
+    grades = rng.integers(0, 3, size=n).astype(np.int8)
+    prior = CalibrationPrior(rho=0.1) if use_prior else None
+    params = init_model(arch, seed=n)
+    args = (params, x, grades, prior, 2, 1e-2, trainable, batch_size, 3, "oracle")
+    got, got_trace = run_training(*args)
+    want, want_trace = _reference_training(*args)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.array(got_trace).tobytes() == np.array(want_trace).tobytes()
+
+
+@pytest.mark.parametrize("n,batch_size", [(130, 32), (128, 32), (5, 1), (3, 64)])
+def test_run_training_takes_one_adam_step_per_batch(monkeypatch, n, batch_size):
+    calls = []
+
+    def counting_step(opt, values, grad):
+        calls.append(opt.step)
+        adam_step(opt, values, grad)
+
+    monkeypatch.setattr(lpft, "adam_step", counting_step)
+    x, grades = toy_binary_task(n)
+    params = init_model(ModelArch(2, (8, 4)), seed=1)
+    run_training(
+        params, x, grades, None, epochs=3, lr=1e-3,
+        trainable="head", batch_size=batch_size, seed=9, stage="unit",
+    )
+    assert calls == list(range(3 * math.ceil(n / batch_size)))
 
 
 # ---------------------------------------------------------------------------

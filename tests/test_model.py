@@ -169,6 +169,16 @@ def test_representations_have_last_hidden_width():
     assert representations(init_model(ModelArch(), 0), np.zeros((2, 32))).shape == (2, 32)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4097, 8193, 160_001, 200_000])
+def test_representations_match_forward_batch_bitwise(n):
+    # representations runs in fixed row blocks; no block size may change a row
+    params = init_model(ModelArch(), seed=n)
+    x = np.random.default_rng(n).standard_normal((n, 32)).astype(np.float32)
+    reps = representations(params, x)
+    assert reps.dtype == np.float64
+    assert reps.tobytes() == forward_batch(params, x).reps.tobytes()
+
+
 def test_forward_rejects_bad_inputs():
     params = init_model(SMALL, seed=8)
     with pytest.raises(DimensionMismatchError):

@@ -94,3 +94,18 @@ def test_cli_writes_only_through_the_run():
     outside = lines[: run.lineno - 1] + lines[run.end_lineno :]
     writes = re.compile(r"write_text|write_bytes|\bopen\(|os\.replace")
     assert [line for line in outside if writes.search(line)] == []
+
+
+def test_only_the_model_names_the_one_batch_loss():
+    # training runs through model.StageObjective; loss and loss_and_grad are
+    # the checked one-batch entry points, and no other module calls them
+    one_batch = {"loss", "loss_and_grad"}
+    for path in SOURCES:
+        if path.name == "model.py":
+            continue
+        tree = _tree(path)
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        named |= {bound for bound, _, _ in _imports(tree)}
+        named |= {name for _, name, _ in _imports(tree)}
+        assert not named & one_batch, f"{path.name} names the one-batch loss"
