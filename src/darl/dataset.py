@@ -61,6 +61,10 @@ _ORIGINS = {origin.name: origin for origin in Origin}
 _LABELS = {
     (g, o): (grade, origin) for g, grade in _GRADES.items() for o, origin in _ORIGINS.items()
 }
+# label pair -> row of _PAIR_TABLE; its last row, for any other pair, is
+# out of range, so ``LabeledDataset`` rejects it
+_PAIR_CODES = {pair: code for code, pair in enumerate(_LABELS.values())}
+_PAIR_TABLE = np.array([*_LABELS.values(), (-1, -1)], dtype=np.int8)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -543,17 +547,19 @@ def join_labels(
     matrix: EmbeddingMatrix, labels: dict[str, tuple[RelevanceGrade, Origin]]
 ) -> LabeledDataset:
     """Label an embedding matrix from its ``load_labels`` table, by row id."""
-    missing = [rid for rid in matrix.ids if rid not in labels]
-    if missing:
+    try:
+        pairs = map(labels.__getitem__, matrix.ids)
+        codes = np.fromiter(map(_PAIR_CODES.get, pairs, repeat(-1)), np.intp, matrix.rows)
+    except KeyError:
+        missing = [rid for rid in matrix.ids if rid not in labels]
         raise DataFormatError(
             f"{len(missing)} rows missing labels (first: {missing[0]!r})"
-        )
+        ) from None
     if len(labels) != matrix.rows:
         raise DataFormatError(
             f"label file has {len(labels)} rows, embeddings have {matrix.rows}"
         )
-    codes = np.array([labels[rid] for rid in matrix.ids], dtype=np.int8)
-    return LabeledDataset(matrix, *codes.reshape(-1, 2).T)
+    return LabeledDataset(matrix, *_PAIR_TABLE[codes].T)
 
 
 # ---------------------------------------------------------------------------

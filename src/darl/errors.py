@@ -7,8 +7,20 @@
 from __future__ import annotations
 
 
+def _restore(cls, args):
+    """Rebuild a pickled error without calling its ``__init__``."""
+    error = cls.__new__(cls)
+    error.args = args
+    return error
+
+
 class DarlError(Exception):
     exit_code = 2
+
+    def __reduce__(self):
+        # subclasses build their message from other arguments than the
+        # ``args`` they store, so unpickling must not call __init__
+        return _restore, (type(self), self.args), self.__dict__
 
 
 class ConfigError(DarlError, ValueError):
@@ -72,5 +84,11 @@ class MissingArtifactError(DarlError, FileNotFoundError):
 
 class RunDirError(DarlError):
     """The run directory (or a directory inside it) cannot be created."""
+
+    exit_code = 1
+
+
+class WorkerError(DarlError):
+    """A forked worker process ended without sending back its results."""
 
     exit_code = 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +61,7 @@ from .ood_select import (
     mahalanobis_batch,
     select_ood,
 )
-from .util import config_hash, sub_rng
+from .util import config_hash, parallel, sub_rng
 
 TREND_SEEDS = (11, 12, 13, 14, 15)
 DEFAULT_BUDGETS = (0.25, 0.5, 0.75, 1.0)
@@ -277,6 +277,7 @@ def ladder_models(
     plan's fine-tune budget; rung 2 adds the term; rung 3 adds the selected
     augmentation rows; rung 4 keeps rung 3's data and loss but replaces the
     single stage with probe, fine-tune, and the validation-chosen blend.
+    Rungs 1-3 and rung 4's probe-then-finetune chain train side by side.
     """
     prep = prepare(config, seed)
     plan = config.for_seed(seed).plan
@@ -284,11 +285,19 @@ def ladder_models(
     train_id = prep.corpus.train_id
     merged = merge_datasets(train_id, prep.d_aug)
 
-    row1 = train_single_stage(prep.backbone, train_id, None, plan)
-    row2 = train_single_stage(prep.backbone, train_id, prior, plan)
-    row3 = train_single_stage(prep.backbone, merged, prior, plan)
-    phi_lp, _ = linear_probe(prep.backbone, merged, prior, plan)
-    phi_ft, _ = full_finetune(phi_lp, merged, prior, plan)
+    def single_stages():
+        return (
+            train_single_stage(prep.backbone, train_id, None, plan),
+            train_single_stage(prep.backbone, train_id, prior, plan),
+            train_single_stage(prep.backbone, merged, prior, plan),
+        )
+
+    def probe_then_finetune():
+        phi_lp, _ = linear_probe(prep.backbone, merged, prior, plan)
+        phi_ft, _ = full_finetune(phi_lp, merged, prior, plan)
+        return phi_lp, phi_ft
+
+    (row1, row2, row3), (phi_lp, phi_ft) = parallel(single_stages, probe_then_finetune)
     sweep = alpha_sweep(phi_lp, phi_ft, plan.alpha_grid, prep.corpus.val_id, prep.val_ood)
     row4 = interpolate(phi_lp, phi_ft, sweep.best_alpha)
     return (row1, row2, row3, row4), sweep
@@ -379,7 +388,8 @@ def budget_sweep(
     fills its budget by the weaker-rank ordering within the selected set;
     the random strategy draws the same number of rows uniformly from the
     whole selection split (nested across budgets), so both strategies add
-    equally many rows and differ only in which rows.
+    equally many rows and differ only in which rows.  Every budget is
+    checked before any model trains; the models then train side by side.
     """
     prep = prepare(config, seed)
     plan = config.for_seed(seed).plan
@@ -391,7 +401,22 @@ def budget_sweep(
     ranked = sel[dasa_order(prep.report.mahal[sel], prep.report.knn[sel])]
     random_order = sub_rng(seed, "budget-random").permutation(n_pool)
 
-    rows = []
+    def row(budget: float, strategy: str, picked: np.ndarray) -> BudgetRow:
+        d_aug = prep.select_truth.take(picked)
+        merged = merge_datasets(prep.corpus.train_id, d_aug)
+        model = train_single_stage(prep.backbone, merged, prior, plan, stage="budget")
+        pair = evaluate_model(
+            model, prep.corpus.val_id, prep.corpus.test_id, prep.test_ood
+        )
+        return BudgetRow(
+            budget=budget,
+            strategy=strategy,
+            n_aug=int(picked.size),
+            f1_id=pair.f1_id,
+            f1_ood=pair.f1_ood,
+        )
+
+    tasks = []
     for budget in budgets:
         b = float(budget)
         if b < 0.0:
@@ -401,29 +426,9 @@ def budget_sweep(
             raise DataFormatError(
                 f"budget {b:g} asks for {take} rows but the pool has {n_pool}"
             )
-        strategies = {
-            "dasa": ranked[: min(take, ranked.size)],
-            "random": random_order[:take],
-        }
-        for strategy, picked in strategies.items():
-            d_aug = prep.select_truth.take(picked)
-            merged = merge_datasets(prep.corpus.train_id, d_aug)
-            model = train_single_stage(
-                prep.backbone, merged, prior, plan, stage="budget"
-            )
-            pair = evaluate_model(
-                model, prep.corpus.val_id, prep.corpus.test_id, prep.test_ood
-            )
-            rows.append(
-                BudgetRow(
-                    budget=b,
-                    strategy=strategy,
-                    n_aug=int(picked.size),
-                    f1_id=pair.f1_id,
-                    f1_ood=pair.f1_ood,
-                )
-            )
-    return tuple(rows)
+        tasks.append(partial(row, b, "dasa", ranked[: min(take, ranked.size)]))
+        tasks.append(partial(row, b, "random", random_order[:take]))
+    return tuple(parallel(*tasks))
 
 
 def write_budget_table(rows_by_seed: dict, path, config: ExperimentConfig) -> None:
@@ -478,16 +483,11 @@ def _occ_models(config: ExperimentConfig, seed: int) -> tuple[ModelParams, Model
     """
     prep = prepare(config, seed)
     plan = config.for_seed(seed).plan
-    train_id = prep.corpus.train_id
-    without = train_single_stage(
-        prep.backbone, train_id, None, plan,
-        stage="occ", epochs=plan.lp_epochs, lr=plan.lp_lr,
+    train = partial(
+        train_single_stage, prep.backbone, prep.corpus.train_id,
+        plan=plan, stage="occ", epochs=plan.lp_epochs, lr=plan.lp_lr,
     )
-    with_term = train_single_stage(
-        prep.backbone, train_id, config.prior(), plan,
-        stage="occ", epochs=plan.lp_epochs, lr=plan.lp_lr,
-    )
-    return without, with_term
+    return tuple(parallel(partial(train, None), partial(train, config.prior())))
 
 
 def occ_effect(config: ExperimentConfig, seed: int, bins: int = 40) -> OccEffect:

@@ -2,8 +2,8 @@
 
 Criteria 7b and 8b assert in-distribution parity targets that this corpus
 does not reach; the assertions are kept intact and marked strict-xfail so
-the suite stays honest about them.  The decisions ledger records the
-analysis behind both.
+the suite stays honest about them.  ROADMAP item 2 records the
+measurements behind both.
 """
 
 import hashlib
@@ -242,7 +242,7 @@ def test_criterion_07a_ranked_budgets_beat_random_on_shifted_data(budget_results
     strict=True,
     reason="equal-budget shifted-row augmentation costs in-distribution F1 on "
     "this corpus; the measured gap runs 5 to 8 points at every budget, past "
-    "the 2-point parity target (analysis in the decisions ledger)",
+    "the 2-point parity target (measurements in ROADMAP item 2)",
 )
 def test_criterion_07b_ranked_budgets_hold_id_parity(budget_results):
     """Ranked augmentation stays within 2 ID points of random at every budget."""
@@ -282,9 +282,9 @@ def test_criterion_08a_ladder_improves_shifted_performance(ablation_tables):
 @pytest.mark.xfail(
     strict=True,
     reason="the shifted-row augmentation that drives the out-of-distribution "
-    "gain trades away in-distribution F1 against a baseline already at the "
-    "label-noise ceiling; measured 10+ points short of the +2-point target "
-    "(analysis in the decisions ledger)",
+    "gain trades away in-distribution F1 against a baseline that sits 5 to 8 "
+    "points below the label-noise ceiling; measured 10+ points short of the "
+    "+2-point target (measurements in ROADMAP item 2)",
 )
 def test_criterion_08b_ladder_improves_id_performance(ablation_tables):
     """The full recipe also beats the plain baseline on ID data by 2 points."""

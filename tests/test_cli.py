@@ -9,11 +9,12 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darl import cli
+from darl import cli, util
 from darl.cli import RunConfig, main
 
 TINY_JSON = {
@@ -506,6 +507,18 @@ def test_cli_ablate_writes_table(tiny_config_path, pipeline_run, capsys):
     assert "seeds 5,6" in lines[0]
     assert lines[1].startswith("seed\trung\tlabel")
     assert sum(1 for ln in lines if ln.startswith("mean\t")) == 4
+
+
+def test_a_stage_diverging_in_a_worker_exits_2(tmp_path, capsys, monkeypatch):
+    # rung 4's probe (lp_lr) trains in a forked worker beside rungs 1-3
+    monkeypatch.setattr(util, "available_cpus", lambda: 2)
+    config = {**TINY_JSON, "plan": {**TINY_JSON["plan"], "lp_lr": 1e307}, "trend_seeds": [5]}
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        code = main(["ablate", "--config", str(path), "--run-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == "darl: error: non-finite model parameter\n"
 
 
 @pytest.mark.slow

@@ -485,6 +485,25 @@ def test_load_labeled_dataset_joins_by_id(tmp_path):
     np.testing.assert_array_equal(back.origin, d.origin)
 
 
+def test_join_labels_matches_a_per_row_build():
+    d = make_dataset(10_000, 2, seed=6)
+    rng = np.random.default_rng(6)
+    pairs = list(zip(map(RelevanceGrade, d.grades.tolist()), map(Origin, d.origin.tolist())))
+    # the table's row order need not follow the matrix's
+    labels = {d.ids[i]: pairs[i] for i in rng.permutation(d.rows)}
+    codes = np.array([labels[rid] for rid in d.ids], dtype=np.int8).reshape(-1, 2).T
+    joined = join_labels(d.embeddings, labels)
+    for got, want in zip((joined.grades, joined.origin), codes):
+        assert got.dtype == want.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(DataFormatError, match=re.escape("2 rows missing labels (first: 'row-0003')")):
+        join_labels(d.embeddings, {rid: labels[rid] for rid in d.ids if rid not in d.ids[3:5]})
+    with pytest.raises(DataFormatError, match="label file has 10001 rows, embeddings have 10000"):
+        join_labels(d.embeddings, {**labels, "extra": pairs[0]})
+    with pytest.raises(DataFormatError, match="grade codes outside"):
+        join_labels(d.embeddings, {**labels, d.ids[7]: (3, 0)})
+
+
 def write_labels_lines(dataset: LabeledDataset) -> list[str]:
     rows = ["id\tgrade\torigin"]
     for i, rid in enumerate(dataset.ids):

@@ -1,12 +1,17 @@
 """Experiment orchestration: prepared corpora, ladders, sweeps, tables."""
 
+import os
+import pickle
 import re
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import TINY_CONFIG, TINY_PLAN
 
+from darl import harness, util
 from darl.dataset import Origin, SyntheticConfig, generate_synthetic
-from darl.errors import ConfigError, DataFormatError
+from darl.errors import ConfigError, DataFormatError, NonFiniteValueError
 from darl.harness import (
     DEFAULT_BUDGETS,
     LADDER_LABELS,
@@ -23,7 +28,7 @@ from darl.harness import (
     write_ablation_tables,
     write_budget_table,
 )
-from darl.lpft import StagePlan
+from darl.lpft import StagePlan, train_single_stage
 from darl.ood_select import (
     ThresholdPolicy,
     build_index,
@@ -33,6 +38,7 @@ from darl.ood_select import (
 )
 
 CONFIG = ExperimentConfig()
+SMALL = ExperimentConfig(corpus=TINY_CONFIG, plan=TINY_PLAN)
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -181,6 +187,70 @@ def test_budget_zero_makes_strategies_identical():
 def test_budget_sweep_validation():
     with pytest.raises(ConfigError, match="budgets"):
         budget_sweep(CONFIG, 11, budgets=(-0.25,))
+
+
+def test_budget_sweep_checks_every_budget_before_training(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("stage"))
+        return train_single_stage(*args, **kwargs)
+
+    monkeypatch.setattr(util, "available_cpus", lambda: 1)  # train in this process
+    monkeypatch.setattr(harness, "train_single_stage", counted)
+    with pytest.raises(ConfigError, match="budgets"):
+        budget_sweep(SMALL, 5, budgets=(0.5, -0.25))
+    with pytest.raises(DataFormatError, match="asks for"):
+        budget_sweep(SMALL, 5, budgets=(0.5, 1e6))
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+
+@pytest.fixture
+def uncached(monkeypatch):
+    # a cached ladder or calibration pair would hand the second run the first's models
+    for name in ("ladder_models", "_occ_models"):
+        monkeypatch.setattr(harness, name, getattr(harness, name).__wrapped__)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_workers_match_a_serial_run_bitwise(monkeypatch, uncached):
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(util, "available_cpus", lambda n=cpus: n)
+        models, sweep = harness.ladder_models(SMALL, 5)
+        pair = harness._occ_models(SMALL, 5)
+        runs.append(pickle.dumps((
+            [model.values.tobytes() for model in (*models, *pair)],
+            sweep,
+            run_ablation(SMALL, 5),
+            occ_effect(SMALL, 5),
+            budget_sweep(SMALL, 5),
+        )))
+    assert runs[0] == runs[1]
+    assert_no_child_left()
+
+
+def test_a_diverging_stage_in_a_worker_raises_in_the_parent(monkeypatch):
+    prep = prepare(SMALL, 5)
+    train = partial(
+        train_single_stage, prep.backbone, prep.corpus.train_id, None, SMALL.for_seed(5).plan
+    )
+    monkeypatch.setattr(util, "available_cpus", lambda: 2)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteValueError) as serial:
+            train(lr=np.inf)
+        with pytest.raises(NonFiniteValueError) as forked:
+            util.parallel(train, partial(train, lr=np.inf))
+    assert str(forked.value) == str(serial.value) == "non-finite model parameter"
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,24 @@
-"""Seeded RNG derivation, order-statistic quantiles, and hashing helpers."""
+"""Seeded RNG derivation, order-statistic quantiles, hashing, and forked parallel calls."""
 
 import hashlib
 import json
 import math
+import os
+import time
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from darl import util
+from darl.errors import ConfigError, WorkerError
 from darl.util import (
     canonical_json,
     config_hash,
     order_stat_quantile,
+    parallel,
     sha256_file,
     sub_rng,
 )
@@ -131,3 +137,97 @@ def test_sha256_file_matches_hashlib(tmp_path):
 def test_canonical_json_round_trips_nested_config():
     obj = {"plan": {"alpha_grid": [0.0, 0.5, 1.0]}, "seed": 7}
     assert json.loads(canonical_json(obj)) == obj
+
+
+# ---------------------------------------------------------------------------
+# parallel
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count ``parallel`` sees; 2 forks even on a one-CPU host."""
+
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(util, "available_cpus", lambda: n)
+
+    return set_cpus
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail(error: Exception):
+    raise error
+
+
+def test_available_cpus_is_positive():
+    assert util.available_cpus() >= 1
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_parallel_returns_results_in_input_order(cpus, n_cpus):
+    cpus(n_cpus)
+    assert parallel(*(partial(pow, i, 2) for i in range(7))) == [i * i for i in range(7)]
+    assert parallel() == []
+    assert_no_child_left()
+
+
+def test_parallel_deals_tasks_round_robin_to_forked_workers(cpus):
+    cpus(2)
+    pids = parallel(*[os.getpid] * 5)
+    assert pids[0::2] == [os.getpid()] * 3
+    assert pids[1] == pids[3] != os.getpid()
+    assert_no_child_left()
+
+
+def test_parallel_runs_serially_with_one_cpu(cpus):
+    cpus(1)
+    assert parallel(os.getpid, os.getpid) == [os.getpid()] * 2
+
+
+def test_parallel_runs_a_nested_call_serially(cpus):
+    cpus(2)
+    nested = partial(parallel, os.getpid, os.getpid)
+    in_parent, in_child = parallel(nested, nested)
+    assert in_parent == [os.getpid()] * 2
+    assert in_child[0] == in_child[1] != os.getpid()
+    assert_no_child_left()
+
+
+def test_parallel_reraises_a_worker_error_in_the_parent(cpus):
+    cpus(2)
+    with pytest.raises(ConfigError) as info:
+        parallel(int, partial(fail, ConfigError("rho", "must be small")), int)
+    assert str(info.value) == "rho: must be small"
+    assert info.value.field == "rho"
+    assert "raised in worker process" in info.value.__notes__[0]
+    assert_no_child_left()
+
+
+def test_parallel_raises_the_first_failure_in_input_order(cpus):
+    cpus(2)
+    # this process fails at task 2; the child fails first, at task 1
+    with pytest.raises(ValueError, match="task 1"):
+        parallel(int, *(partial(fail, ValueError(f"task {i}")) for i in (1, 2, 3)))
+    # a failure at task 0 kills the child at once: all its tasks come later
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="task 0"):
+        parallel(partial(fail, ValueError("task 0")), partial(time.sleep, 60))
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_parallel_names_the_exit_status_of_a_dead_worker(cpus):
+    cpus(2)
+    with pytest.raises(WorkerError, match="exit status 7 before sending"):
+        parallel(int, partial(os._exit, 7))
+    assert_no_child_left()
+
+
+def test_parallel_reports_a_result_it_cannot_send(cpus):
+    cpus(2)
+    with pytest.raises(WorkerError, match="worker 1 cannot send its results"):
+        parallel(int, lambda: lambda: None)
+    assert_no_child_left()
