@@ -129,7 +129,8 @@ def _build_config(file_values: dict, overrides: dict) -> RunConfig:
     """Merge defaults, config-file values, and flag overrides.
 
     A section given in the file starts from the run default of that
-    section, so keys it leaves out keep their run defaults.
+    section, so keys it leaves out keep their run defaults.  The top-level
+    seed drives every section, so a section seed must repeat it.
     """
     defaults = RunConfig()
     known = {f.name for f in dataclasses.fields(RunConfig)}
@@ -154,6 +155,12 @@ def _build_config(file_values: dict, overrides: dict) -> RunConfig:
         else:
             kwargs[name] = _typed(name, value, default)
     config = RunConfig(**kwargs)
+    for name in ("corpus", "plan"):
+        nested = file_values.get(name, {}).get("seed", config.seed)
+        if nested != config.seed:
+            raise ConfigError(
+                f"{name}.seed", f"is {nested}, but the top-level seed is {config.seed}"
+            )
     seed = config.seed if overrides.get("seed") is None else overrides["seed"]
     config = dataclasses.replace(config.for_seed(seed), seed=seed)
     if overrides.get("rho") is not None:
@@ -289,7 +296,7 @@ def cmd_gen_data(run: _Run, args) -> None:
     run.save_dataset("val_id", corpus.val_id)
     run.save_dataset("test_id", corpus.test_id)
     run.save_dataset("superset", superset)
-    run.save("data/pool.emb", write_embeddings, corpus.pool_unlabeled)
+    run.save("data/pool.emb", write_embeddings, corpus.pool_truth.embeddings)
     run.save("data/pool_truth.tsv", write_labels, corpus.pool_truth)
     run.save_dataset("select_truth", select_truth)
     run.save_dataset("val_ood", val_ood)
@@ -305,7 +312,7 @@ def cmd_train(run: _Run, args) -> None:
     if args.stage == "pretrain":
         theta, trace = pretrain_backbone(run.load_dataset("superset"), plan)
         run.save("backbone.ckpt", save_checkpoint, theta)
-        print(f"pretrain: {plan.pretrain_epochs} epochs, "
+        print(f"pretrain: {len(trace)} epochs, "
               f"final loss {trace[-1].total:.4f} -> backbone.ckpt")
         return
     data = run.load_dataset("train_id")
@@ -317,8 +324,7 @@ def cmd_train(run: _Run, args) -> None:
     name = f"phi_{args.stage}.ckpt"
     run.save(name, save_checkpoint, model)
     final = trace[-1].total if trace else float("nan")
-    epochs = getattr(plan, f"{args.stage}_epochs")
-    print(f"{args.stage}: {epochs} epochs on {data.rows} rows, "
+    print(f"{args.stage}: {len(trace)} epochs on {data.rows} rows, "
           f"final loss {final:.4f} -> {name}")
 
 

@@ -203,7 +203,6 @@ class SyntheticCorpus:
     train_id: LabeledDataset
     val_id: LabeledDataset
     test_id: LabeledDataset
-    pool_unlabeled: EmbeddingMatrix
     pool_truth: LabeledDataset
 
 
@@ -335,9 +334,9 @@ def _labeled_split(
 def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     """Generate the full corpus: labeled ID splits plus the mixed pool.
 
-    Deterministic given ``config.seed``.  ``pool_unlabeled`` carries no
-    labels; ``pool_truth`` records each pool row's true grade and origin and
-    is only consulted for oracle labeling and evaluation.
+    Deterministic given ``config.seed``.  ``pool_truth`` holds each pool
+    row's true grade and origin; selection reads only its embeddings, and
+    the labels serve only oracle labeling and evaluation.
     """
     bp = _blueprint(config)
     cfg = bp.config
@@ -369,14 +368,12 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     )
     ids = tuple(f"pool-{i:06d}" for i in range(cfg.pool_size))
     pool = EmbeddingMatrix(points.astype(np.float32), ids)
-    pool_truth = LabeledDataset(pool, grades, origin)
 
     return SyntheticCorpus(
         train_id=train_id,
         val_id=val_id,
         test_id=test_id,
-        pool_unlabeled=pool,
-        pool_truth=pool_truth,
+        pool_truth=LabeledDataset(pool, grades, origin),
     )
 
 
@@ -441,9 +438,9 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Parse the binary embedding format, rejecting malformed payloads."""
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != EMBEDDING_MAGIC:
-        raise BadMagicError(f"bad magic in {path}", offset=0)
+        raise BadMagicError("bad magic", offset=0)
     if len(blob) < 12:
-        raise TruncatedPayloadError(f"truncated header in {path}", offset=len(blob))
+        raise TruncatedPayloadError("truncated header", offset=len(blob))
     rows, dims = struct.unpack_from("<II", blob, 4)
     offset = 12
     need = rows * dims * 4
@@ -506,9 +503,9 @@ def load_labels(path: str | Path) -> dict[str, tuple[RelevanceGrade, Origin]]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"label file {path} is not UTF-8: {exc}") from exc
+        raise DataFormatError(f"label file is not UTF-8: {exc}") from exc
     if not lines or lines[0] != LABEL_HEADER:
-        raise DataFormatError(f"label file {path} missing header {LABEL_HEADER!r}")
+        raise DataFormatError(f"label file missing header {LABEL_HEADER!r}")
     rows = list(filter(None, lines[1:]))
     if set(map(str.count, rows, repeat("\t"))) == {2}:
         cells = "\t".join(rows).split("\t")

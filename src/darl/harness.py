@@ -43,7 +43,7 @@ from .lpft import (
     full_finetune,
     linear_probe,
     pretrain_backbone,
-    train_single_stage,
+    run_training,
 )
 from .metrics import Metrics, compute_metrics, fit_grade_thresholds, score_histogram, wr_mid_fraction
 from .model import CalibrationPrior, ModelParams, interpolate, predict_scores, representations
@@ -286,10 +286,9 @@ def ladder_models(
     merged = merge_datasets(train_id, prep.d_aug)
 
     def single_stages():
-        return (
-            train_single_stage(prep.backbone, train_id, None, plan),
-            train_single_stage(prep.backbone, train_id, prior, plan),
-            train_single_stage(prep.backbone, merged, prior, plan),
+        return tuple(
+            run_training(prep.backbone, data, rung_prior, plan, "single-stage")[0]
+            for data, rung_prior in ((train_id, None), (train_id, prior), (merged, prior))
         )
 
     def probe_then_finetune():
@@ -404,7 +403,7 @@ def budget_sweep(
     def row(budget: float, strategy: str, picked: np.ndarray) -> BudgetRow:
         d_aug = prep.select_truth.take(picked)
         merged = merge_datasets(prep.corpus.train_id, d_aug)
-        model = train_single_stage(prep.backbone, merged, prior, plan, stage="budget")
+        model, _ = run_training(prep.backbone, merged, prior, plan, "budget")
         pair = evaluate_model(
             model, prep.corpus.val_id, prep.corpus.test_id, prep.test_ood
         )
@@ -482,15 +481,15 @@ def _occ_models(config: ExperimentConfig, seed: int) -> tuple[ModelParams, Model
     otherwise both shapes are dominated by undertraining.
     """
     prep = prepare(config, seed)
-    plan = config.for_seed(seed).plan
     train = partial(
-        train_single_stage, prep.backbone, prep.corpus.train_id,
-        plan=plan, stage="occ", epochs=plan.lp_epochs, lr=plan.lp_lr,
+        run_training, prep.backbone, prep.corpus.train_id,
+        plan=config.for_seed(seed).plan, stage="occ",
     )
-    return tuple(parallel(partial(train, None), partial(train, config.prior())))
+    pair = parallel(partial(train, None), partial(train, config.prior()))
+    return tuple(model for model, _ in pair)
 
 
-def occ_effect(config: ExperimentConfig, seed: int, bins: int = 40) -> OccEffect:
+def occ_effect(config: ExperimentConfig, seed: int) -> OccEffect:
     """Compare matched KL-off and KL-on score shapes on the ID test split."""
     prep = prepare(config, seed)
     model_without, model_with = _occ_models(config, seed)
@@ -500,8 +499,8 @@ def occ_effect(config: ExperimentConfig, seed: int, bins: int = 40) -> OccEffect
     with_term = predict_scores(model_with, x)
     return OccEffect(
         seed=seed,
-        overlap_with=score_histogram(with_term, grades, bins).overlap_wr_sr,
-        overlap_without=score_histogram(without, grades, bins).overlap_wr_sr,
+        overlap_with=score_histogram(with_term, grades).overlap_wr_sr,
+        overlap_without=score_histogram(without, grades).overlap_wr_sr,
         wr_mid_with=wr_mid_fraction(with_term, grades),
         wr_mid_without=wr_mid_fraction(without, grades),
     )

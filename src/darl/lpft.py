@@ -76,46 +76,56 @@ class StagePlan:
             raise ConfigError("alpha_grid", "values must be sorted and unique")
 
 
-def _dataset_arrays(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(dataset.embeddings.data, dtype=np.float64)
-    return x, dataset.grades
+# stage name -> (plan budget, trainable region); a stage trains for the
+# plan's ``<budget>_epochs`` at ``<budget>_lr``
+STAGES = {
+    "pretrain": ("pretrain", "all"),
+    "lp": ("lp", "head"),
+    "ft": ("ft", "all"),
+    "single-stage": ("ft", "all"),
+    "budget": ("ft", "all"),
+    "occ": ("lp", "all"),
+}
 
 
 def run_training(
     params: ModelParams,
-    x: np.ndarray,
-    grades: np.ndarray,
+    data: LabeledDataset,
     prior: CalibrationPrior | None,
-    epochs: int,
-    lr: float,
-    trainable: str,
-    batch_size: int,
-    seed: int,
+    plan: StagePlan,
     stage: str,
 ) -> tuple[ModelParams, list[LossValues]]:
-    """Seeded minibatch Adam loop; returns final params and per-epoch loss.
+    """Seeded minibatch Adam loop of one ``STAGES`` entry; returns final
+    params and per-epoch loss.
 
-    Batch order is a fresh seeded permutation per epoch; the trace entry for
-    an epoch is the size-weighted mean of its batch losses.  Adam updates a
-    copy of the parameters in place, which the stage's objective reads
-    through a read-only view, and raises at the step where training diverges.
+    Batch order is a fresh permutation per epoch, seeded by the plan seed
+    and the stage name; an epoch's trace entry is the size-weighted mean of
+    its batch losses.  Adam updates a copy of the parameters in place, which
+    the objective reads through a view, and raises where training diverges.
     """
-    if x.shape[0] == 0:
+    if params.arch.input_dims != data.embeddings.dims:
+        raise CheckpointError(
+            f"checkpoint expects {params.arch.input_dims}-dim inputs, "
+            f"dataset has {data.embeddings.dims}"
+        )
+    n = data.rows
+    if n == 0:
         raise DataFormatError(f"stage {stage!r} received an empty dataset")
+    budget, trainable = STAGES[stage]
     arch = params.arch
-    opt = init_opt(arch, lr=lr, trainable=trainable)
+    opt = init_opt(arch, lr=getattr(plan, f"{budget}_lr"), trainable=trainable)
     vec = params.values.copy()
     objective = StageObjective(
-        ModelParams(arch, vec.view()), x, grades, prior, trainable, batch_size
+        ModelParams(arch, vec.view()), data.embeddings.data, data.grades, prior,
+        trainable, plan.batch_size,
     )
-    rng = sub_rng(seed, "batch-order", stage)
-    n = x.shape[0]
+    rng = sub_rng(plan.seed, "batch-order", stage)
     trace: list[LossValues] = []
-    for _ in range(epochs):
+    for _ in range(getattr(plan, f"{budget}_epochs")):
         perm = rng.permutation(n)
         total = np.zeros(3)
-        for start in range(0, n, batch_size):
-            take = perm[start : start + batch_size]
+        for start in range(0, n, plan.batch_size):
+            take = perm[start : start + plan.batch_size]
             values = objective(take)
             adam_step(opt, vec, objective.grad)
             total += np.array(values) * take.size
@@ -141,12 +151,7 @@ def pretrain_backbone(
     arch = ModelArch(input_dims=superset.embeddings.dims)
     boosted = init_model(arch, plan.seed).values.copy()
     boosted[arch.backbone_count :] *= plan.head_boost
-    x, grades = _dataset_arrays(superset)
-    params, trace = run_training(
-        ModelParams(arch, boosted), x, grades, prior=None,
-        epochs=plan.pretrain_epochs, lr=plan.pretrain_lr, trainable="all",
-        batch_size=plan.batch_size, seed=plan.seed, stage="pretrain",
-    )
+    params, trace = run_training(ModelParams(arch, boosted), superset, None, plan, "pretrain")
     values = params.values.copy()
     values[arch.backbone_count :] = 0.0
     return params.replace_values(values), trace
@@ -164,17 +169,7 @@ def linear_probe(
     head starts from zero (the pretraining head was discarded) and is the
     only thing the optimizer touches.
     """
-    if theta.arch.input_dims != d_aug.embeddings.dims:
-        raise CheckpointError(
-            f"backbone expects {theta.arch.input_dims}-dim inputs, dataset "
-            f"has {d_aug.embeddings.dims}"
-        )
-    x, grades = _dataset_arrays(d_aug)
-    phi_lp, trace = run_training(
-        theta, x, grades, prior,
-        epochs=plan.lp_epochs, lr=plan.lp_lr, trainable="head",
-        batch_size=plan.batch_size, seed=plan.seed, stage="lp",
-    )
+    phi_lp, trace = run_training(theta, d_aug, prior, plan, "lp")
     if not np.array_equal(phi_lp.backbone, theta.backbone):
         raise CheckpointError("probe stage modified frozen backbone weights")
     return phi_lp, trace
@@ -187,44 +182,7 @@ def full_finetune(
     plan: StagePlan,
 ) -> tuple[ModelParams, list[LossValues]]:
     """All-parameter training warm-started at the probe checkpoint."""
-    if phi_lp.arch.input_dims != d_aug.embeddings.dims:
-        raise CheckpointError(
-            f"checkpoint expects {phi_lp.arch.input_dims}-dim inputs, "
-            f"dataset has {d_aug.embeddings.dims}"
-        )
-    x, grades = _dataset_arrays(d_aug)
-    return run_training(
-        phi_lp, x, grades, prior,
-        epochs=plan.ft_epochs, lr=plan.ft_lr, trainable="all",
-        batch_size=plan.batch_size, seed=plan.seed, stage="ft",
-    )
-
-
-def train_single_stage(
-    backbone: ModelParams,
-    data: LabeledDataset,
-    prior: CalibrationPrior | None,
-    plan: StagePlan,
-    stage: str = "single-stage",
-    epochs: int | None = None,
-    lr: float | None = None,
-) -> ModelParams:
-    """One all-parameter training pass from the pretrained backbone.
-
-    This is the non-staged counterpart of probe-then-finetune: a fresh zero
-    head plus the backbone, trained jointly.  Defaults to the plan's
-    fine-tune budget, so ladder rungs 1-3 differ from rung 4 only by the
-    probe stage and the blend.
-    """
-    x, grades = _dataset_arrays(data)
-    params, _ = run_training(
-        backbone, x, grades, prior,
-        epochs=plan.ft_epochs if epochs is None else epochs,
-        lr=plan.ft_lr if lr is None else lr,
-        trainable="all",
-        batch_size=plan.batch_size, seed=plan.seed, stage=stage,
-    )
-    return params
+    return run_training(phi_lp, d_aug, prior, plan, "ft")
 
 
 @dataclass(frozen=True)
@@ -272,15 +230,14 @@ def alpha_sweep(
         raise ConfigError("alpha_grid", "must be nonempty")
     if val_id.embeddings.rows == 0 or val_ood.embeddings.rows == 0:
         raise DataFormatError("alpha sweep needs nonempty validation sets")
-    x_id, g_id = _dataset_arrays(val_id)
-    x_ood, g_ood = _dataset_arrays(val_ood)
     rows = []
     for alpha in grid:
         params = interpolate(phi_lp, phi_ft, alpha)
-        scores_id = predict_scores(params, x_id)
-        thresholds = fit_grade_thresholds(scores_id, g_id)
-        m_id = compute_metrics(scores_id, g_id, thresholds)
-        m_ood = compute_metrics(predict_scores(params, x_ood), g_ood, thresholds)
+        scores_id = predict_scores(params, val_id.embeddings.data)
+        thresholds = fit_grade_thresholds(scores_id, val_id.grades)
+        m_id = compute_metrics(scores_id, val_id.grades, thresholds)
+        scores_ood = predict_scores(params, val_ood.embeddings.data)
+        m_ood = compute_metrics(scores_ood, val_ood.grades, thresholds)
         rows.append(
             AlphaRow(
                 alpha=alpha,
@@ -294,12 +251,9 @@ def alpha_sweep(
     return AlphaSweepResult(rows=tuple(rows), best_alpha=best.alpha)
 
 
-def write_alpha_table(result: AlphaSweepResult, path, meta: str = "") -> None:
-    """Sweep table as TSV with 4-decimal metrics."""
-    lines = []
-    if meta:
-        lines.append(f"# {meta}")
-    lines.append("alpha\tf1_id\tf1_ood\tacc_id\tacc_ood")
+def write_alpha_table(result: AlphaSweepResult, path, meta: str) -> None:
+    """Sweep table as TSV with 4-decimal metrics under a ``# meta`` line."""
+    lines = [f"# {meta}", "alpha\tf1_id\tf1_ood\tacc_id\tacc_ood"]
     for row in result.rows:
         lines.append(
             f"{row.alpha:g}\t{row.f1_id:.4f}\t{row.f1_ood:.4f}\t"

@@ -20,6 +20,8 @@ from .util import order_stat_quantile
 
 GRID_PERCENTILES = tuple(range(1, 100))
 DEGENERATE_THRESHOLDS = (1.0 / 3.0, 2.0 / 3.0)
+# open score band counted as the weak-relevance middle
+WR_MID_BAND = (0.5, 0.95)
 
 
 @dataclass(frozen=True)
@@ -196,12 +198,13 @@ def score_histogram(scores, grades, bins: int = 40) -> HistogramReport:
                            overlap_wr_sr=overlap)
 
 
-def wr_mid_fraction(scores, grades, low: float = 0.5, high: float = 0.95) -> float:
-    """Fraction of weak-relevance scores strictly inside (low, high)."""
+def wr_mid_fraction(scores, grades) -> float:
+    """Fraction of weak-relevance scores strictly inside ``WR_MID_BAND``."""
     s, g = _check_pair(scores, grades)
     wr = s[g == RelevanceGrade.WR.value]
     if wr.size == 0:
         return 0.0
+    low, high = WR_MID_BAND
     return float(np.mean((wr > low) & (wr < high)))
 
 

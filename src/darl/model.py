@@ -510,7 +510,7 @@ def load_checkpoint(path) -> ModelParams:
 
     need(0, 4)
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"bad checkpoint magic in {path}", offset=0)
+        raise BadMagicError("bad checkpoint magic", offset=0)
     need(4, 4)
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:

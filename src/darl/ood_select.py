@@ -253,7 +253,7 @@ def load_thresholds(path) -> OodThresholds:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"invalid thresholds JSON in {path}: {exc}") from exc
+        raise DataFormatError(f"invalid thresholds JSON: {exc}") from exc
     try:
         return OodThresholds(
             d1=float(payload["d1"]),
@@ -266,7 +266,7 @@ def load_thresholds(path) -> OodThresholds:
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise DataFormatError(f"malformed thresholds file {path}: {exc}") from exc
+        raise DataFormatError(f"malformed thresholds file: {exc}") from exc
 
 
 def _validate_scores(mahal, knn, label: str) -> tuple[np.ndarray, np.ndarray]:

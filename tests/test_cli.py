@@ -191,11 +191,14 @@ def test_invalid_rho_override(tmp_path, capsys):
         ({"plan": {"lp_lr": float("nan")}}, "plan.lp_lr"),
         ({"plan": {"head_boost": float("inf")}}, "plan.head_boost"),
         ({"plan": {"alpha_grid": [0.0, float("-inf")]}}, "plan.alpha_grid"),
+        ({"plan": {"seed": 99}}, "plan.seed"),
+        ({"plan": {"seed": 99}, "corpus": {"seed": 5}}, "corpus.seed"),
     ],
     ids=[
         "eval_fraction-above-1", "eval_fraction-zero", "no-pool-ood", "seed",
         "alpha", "budgets-not-list", "batch_size-string", "shift-norm-nan",
         "budget-nan", "lp_lr-nan", "head_boost-inf", "alpha_grid-minus-inf",
+        "plan-seed-differs", "corpus-seed-differs",
     ],
 )
 def test_bad_config_is_rejected_before_any_file(tmp_path, capsys, payload, field):
@@ -251,6 +254,19 @@ def test_any_json_config_resolves_or_exits_cleanly(tmp_path_factory, payload):
     if code == 0:
         # a resolved config is strict JSON: no NaN or Infinity got through
         json.loads(out.getvalue(), parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("seed", [None, 9], ids=["as-written", "seed-override"])
+def test_written_config_replays(pipeline_run, capsys, seed):
+    config = pipeline_run / "config.json"
+    flags = [] if seed is None else ["--seed", str(seed)]
+    assert main(["gen-data", "--config", str(config), *flags, "--print-config"]) == 0
+    out = capsys.readouterr().out
+    if seed is None:
+        assert out == config.read_text(encoding="utf-8")
+    else:
+        payload = json.loads(out)
+        assert payload["seed"] == payload["corpus"]["seed"] == payload["plan"]["seed"] == seed
 
 
 def test_select_before_fit_ood(tmp_path, capsys):
@@ -421,8 +437,18 @@ def test_directory_in_place_of_an_artifact_is_missing(
         (["sweep-alpha"], "phi_lp.ckpt", lambda blob: blob[:2]),
         (["eval"], "phi_ft.ckpt", lambda blob: blob[:-1] + bytes([blob[-1] ^ 1])),
         (["train", "--stage", "lp"], "data/train_id.emb", lambda blob: blob[:20]),
+        (["eval"], "phi_ft.ckpt", lambda blob: b"XXXX" + blob[4:]),
+        (["fit-ood"], "data/train_id.emb", lambda blob: b"XXXX" + blob[4:]),
+        (["eval"], "data/test_id.tsv", lambda blob: b"x" + blob),
+        (["eval"], "data/test_id.tsv", lambda blob: blob + b"\xff"),
+        (["select"], "thresholds.json", lambda blob: blob[:-3]),
+        (["select"], "thresholds.json", lambda blob: b"{}"),
     ],
-    ids=["checkpoint-2-bytes", "checkpoint-crc-bit", "embeddings-20-bytes"],
+    ids=[
+        "checkpoint-2-bytes", "checkpoint-crc-bit", "embeddings-20-bytes",
+        "checkpoint-magic", "embeddings-magic", "labels-header", "labels-not-utf8",
+        "thresholds-json", "thresholds-fields",
+    ],
 )
 def test_load_error_names_the_file(
     tiny_config_path, pipeline_run, tmp_path, capsys, argv, name, corrupt
@@ -434,7 +460,7 @@ def test_load_error_names_the_file(
     code = main([*argv, "--config", tiny_config_path, "--run-dir", str(run_dir)])
     err = capsys.readouterr().err
     assert code == 2
-    assert str(path) in err
+    assert err.count(str(path)) == 1
     assert "Traceback" not in err
 
 

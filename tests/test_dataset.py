@@ -163,7 +163,7 @@ def test_generation_is_deterministic(tiny_corpus):
         tiny_corpus.train_id.embeddings.data, again.train_id.embeddings.data
     )
     np.testing.assert_array_equal(tiny_corpus.pool_truth.grades, again.pool_truth.grades)
-    assert tiny_corpus.pool_unlabeled.ids == again.pool_unlabeled.ids
+    assert tiny_corpus.pool_truth.ids == again.pool_truth.ids
 
 
 def test_generation_seed_changes_data(tiny_corpus):
@@ -180,15 +180,14 @@ def test_corpus_split_sizes_and_ids(tiny_corpus):
     assert tiny_corpus.train_id.rows == cfg.train_size
     assert tiny_corpus.val_id.rows == cfg.val_size
     assert tiny_corpus.test_id.rows == cfg.test_size
-    assert tiny_corpus.pool_unlabeled.rows == cfg.pool_size
-    assert tiny_corpus.pool_truth.ids == tiny_corpus.pool_unlabeled.ids
+    assert tiny_corpus.pool_truth.rows == cfg.pool_size
     assert tiny_corpus.train_id.ids[0].startswith("train-")
-    assert tiny_corpus.pool_unlabeled.ids[0].startswith("pool-")
+    assert tiny_corpus.pool_truth.ids[0].startswith("pool-")
     all_ids = (
         tiny_corpus.train_id.ids
         + tiny_corpus.val_id.ids
         + tiny_corpus.test_id.ids
-        + tiny_corpus.pool_unlabeled.ids
+        + tiny_corpus.pool_truth.ids
     )
     assert len(set(all_ids)) == len(all_ids)
 

@@ -1,5 +1,6 @@
 """Experiment orchestration: prepared corpora, ladders, sweeps, tables."""
 
+import dataclasses
 import os
 import pickle
 import re
@@ -28,7 +29,7 @@ from darl.harness import (
     write_ablation_tables,
     write_budget_table,
 )
-from darl.lpft import StagePlan, train_single_stage
+from darl.lpft import StagePlan, run_training
 from darl.ood_select import (
     ThresholdPolicy,
     build_index,
@@ -141,8 +142,8 @@ def test_prepare_no_shift_corpus_selects_near_nothing():
         ThresholdPolicy(mode="fpr", alpha_fpr=alpha),
     )
     report = select_ood(
-        corpus.pool_unlabeled.data, stats, index, thresholds,
-        ids=corpus.pool_unlabeled.ids,
+        corpus.pool_truth.embeddings.data, stats, index, thresholds,
+        ids=corpus.pool_truth.ids,
     )
     assert report.selected.mean() <= 2 * alpha
 
@@ -193,11 +194,11 @@ def test_budget_sweep_checks_every_budget_before_training(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("stage"))
-        return train_single_stage(*args, **kwargs)
+        calls.append(args[-1])
+        return run_training(*args, **kwargs)
 
     monkeypatch.setattr(util, "available_cpus", lambda: 1)  # train in this process
-    monkeypatch.setattr(harness, "train_single_stage", counted)
+    monkeypatch.setattr(harness, "run_training", counted)
     with pytest.raises(ConfigError, match="budgets"):
         budget_sweep(SMALL, 5, budgets=(0.5, -0.25))
     with pytest.raises(DataFormatError, match="asks for"):
@@ -240,15 +241,15 @@ def test_forked_workers_match_a_serial_run_bitwise(monkeypatch, uncached):
 
 def test_a_diverging_stage_in_a_worker_raises_in_the_parent(monkeypatch):
     prep = prepare(SMALL, 5)
-    train = partial(
-        train_single_stage, prep.backbone, prep.corpus.train_id, None, SMALL.for_seed(5).plan
-    )
+    plan = SMALL.for_seed(5).plan
+    train = partial(run_training, prep.backbone, prep.corpus.train_id, None, stage="single-stage")
+    diverging = partial(train, plan=dataclasses.replace(plan, ft_lr=np.inf))
     monkeypatch.setattr(util, "available_cpus", lambda: 2)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteValueError) as serial:
-            train(lr=np.inf)
+            diverging()
         with pytest.raises(NonFiniteValueError) as forked:
-            util.parallel(train, partial(train, lr=np.inf))
+            util.parallel(partial(train, plan=plan), diverging)
     assert str(forked.value) == str(serial.value) == "non-finite model parameter"
     assert_no_child_left()
 

@@ -103,15 +103,24 @@ def toy_binary_task(n=400, seed=0):
     return x, grades
 
 
+def as_dataset(x, grades):
+    ids = tuple(f"t{i:04d}" for i in range(x.shape[0]))
+    return LabeledDataset(
+        EmbeddingMatrix(x.astype(np.float32), ids),
+        grades,
+        np.zeros(x.shape[0], dtype=np.int8),
+    )
+
+
+UNIT_PLAN = StagePlan(lp_epochs=3, lp_lr=1e-3, ft_epochs=3, ft_lr=1e-3, batch_size=32, seed=9)
+
+
 def test_run_training_is_deterministic():
-    x, grades = toy_binary_task()
+    data = as_dataset(*toy_binary_task())
     params = init_model(ModelArch(2, (8, 4)), seed=1)
 
     def run():
-        out, trace = run_training(
-            params, x, grades, prior=None, epochs=3, lr=1e-3,
-            trainable="all", batch_size=32, seed=9, stage="unit",
-        )
+        out, trace = run_training(params, data, None, UNIT_PLAN, "ft")
         return out.values, trace
 
     va, ta = run()
@@ -122,49 +131,57 @@ def test_run_training_is_deterministic():
 
 
 def test_run_training_stage_tag_changes_batch_order():
-    x, grades = toy_binary_task()
+    # both stages train every parameter on the fine-tune budget
+    data = as_dataset(*toy_binary_task())
     params = init_model(ModelArch(2, (8, 4)), seed=2)
-    a, _ = run_training(
-        params, x, grades, None, epochs=2, lr=1e-3,
-        trainable="all", batch_size=32, seed=9, stage="one",
-    )
-    b, _ = run_training(
-        params, x, grades, None, epochs=2, lr=1e-3,
-        trainable="all", batch_size=32, seed=9, stage="two",
-    )
+    a, _ = run_training(params, data, None, UNIT_PLAN, "single-stage")
+    b, _ = run_training(params, data, None, UNIT_PLAN, "budget")
     assert not np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("stage", sorted(lpft.STAGES))
+def test_each_stage_trains_its_budget_and_region(stage):
+    budget, trainable = lpft.STAGES[stage]
+    plan = StagePlan(pretrain_epochs=1, lp_epochs=2, ft_epochs=3, batch_size=32, seed=9)
+    params = init_model(ModelArch(2, (8, 4)), seed=1)
+    out, trace = run_training(params, as_dataset(*toy_binary_task()), None, plan, stage)
+    assert len(trace) == getattr(plan, f"{budget}_epochs")
+    moved = out.values != params.values
+    count = params.arch.backbone_count
+    assert moved[count:].any()
+    assert moved[:count].any() == (trainable == "all")
 
 
 def test_run_training_rejects_empty_data():
     params = init_model(ModelArch(2, (4,)), seed=3)
     with pytest.raises(DataFormatError, match="empty"):
-        run_training(
-            params, np.zeros((0, 2)), np.zeros(0, dtype=int), None,
-            epochs=1, lr=1e-3, trainable="all", batch_size=8, seed=0, stage="s",
-        )
+        run_training(params, as_dataset(*toy_binary_task()).take([]), None, UNIT_PLAN, "ft")
+
+
+@pytest.mark.parametrize("stage", sorted(lpft.STAGES))
+def test_run_training_rejects_a_width_mismatch(stage):
+    data = as_dataset(*toy_binary_task())
+    with pytest.raises(CheckpointError, match="expects 3-dim inputs, dataset has 2"):
+        run_training(init_model(ModelArch(3, (4,)), 0), data, None, UNIT_PLAN, stage)
 
 
 def test_run_training_leaves_its_input_untouched():
-    x, grades = toy_binary_task()
+    data = as_dataset(*toy_binary_task())
     params = init_model(ModelArch(2, (8, 4)), seed=5)
     before = params.values.copy()
-    out, _ = run_training(
-        params, x, grades, None, epochs=2, lr=1e-2,
-        trainable="all", batch_size=32, seed=9, stage="unit",
-    )
+    plan = dataclasses.replace(UNIT_PLAN, ft_epochs=2, ft_lr=1e-2)
+    out, _ = run_training(params, data, None, plan, "ft")
     np.testing.assert_array_equal(params.values, before)
     assert not params.values.flags.writeable
     assert not np.array_equal(out.values, before)
 
 
 def test_run_training_rejects_a_diverging_stage():
-    x, grades = toy_binary_task()
+    data = as_dataset(*toy_binary_task())
     params = init_model(ModelArch(2, (8, 4)), seed=6)
+    plan = dataclasses.replace(UNIT_PLAN, ft_epochs=1, ft_lr=np.inf)
     with pytest.raises(NonFiniteValueError, match="non-finite model parameter"):
-        run_training(
-            params, x, grades, None, epochs=1, lr=np.inf,
-            trainable="all", batch_size=32, seed=9, stage="unit",
-        )
+        run_training(params, data, None, plan, "ft")
 
 
 def _reference_training(
@@ -200,18 +217,26 @@ ORACLE_SIZES = sorted(
 @pytest.mark.parametrize("trainable", ["head", "all", "backbone"])
 @pytest.mark.parametrize("use_prior", [False, True], ids=["no-prior", "prior"])
 @pytest.mark.parametrize("batch_size,n", ORACLE_SIZES)
-def test_run_training_matches_the_per_batch_loop(trainable, use_prior, batch_size, n):
+def test_run_training_matches_the_per_batch_loop(
+    monkeypatch, trainable, use_prior, batch_size, n
+):
     # bit for bit, including head stages whose last batch holds one row:
-    # that row must not be read from representations computed for all rows
+    # that row must not be read from representations computed for all rows.
+    # No stage trains the backbone alone; a table entry added here covers
+    # every region the objective supports.
+    monkeypatch.setitem(lpft.STAGES, "oracle", ("ft", trainable))
     arch = ModelArch()
     rng = np.random.default_rng(1000 * batch_size + n)
-    x = rng.standard_normal((n, arch.input_dims)).astype(np.float32).astype(np.float64)
+    x = rng.standard_normal((n, arch.input_dims)).astype(np.float32)
     grades = rng.integers(0, 3, size=n).astype(np.int8)
     prior = CalibrationPrior(rho=0.1) if use_prior else None
     params = init_model(arch, seed=n)
-    args = (params, x, grades, prior, 2, 1e-2, trainable, batch_size, 3, "oracle")
-    got, got_trace = run_training(*args)
-    want, want_trace = _reference_training(*args)
+    plan = StagePlan(ft_epochs=2, ft_lr=1e-2, batch_size=batch_size, seed=3)
+    got, got_trace = run_training(params, as_dataset(x, grades), prior, plan, "oracle")
+    want, want_trace = _reference_training(
+        params, x.astype(np.float64), grades, prior, 2, 1e-2, trainable, batch_size, 3,
+        "oracle",
+    )
     assert got.values.tobytes() == want.values.tobytes()
     assert np.array(got_trace).tobytes() == np.array(want_trace).tobytes()
 
@@ -225,12 +250,10 @@ def test_run_training_takes_one_adam_step_per_batch(monkeypatch, n, batch_size):
         adam_step(opt, values, grad)
 
     monkeypatch.setattr(lpft, "adam_step", counting_step)
-    x, grades = toy_binary_task(n)
+    data = as_dataset(*toy_binary_task(n))
     params = init_model(ModelArch(2, (8, 4)), seed=1)
-    run_training(
-        params, x, grades, None, epochs=3, lr=1e-3,
-        trainable="head", batch_size=batch_size, seed=9, stage="unit",
-    )
+    plan = dataclasses.replace(UNIT_PLAN, batch_size=batch_size)
+    run_training(params, data, None, plan, "lp")
     assert calls == list(range(3 * math.ceil(n / batch_size)))
 
 
@@ -270,13 +293,7 @@ def test_pretrain_head_boost_shapes_the_backbone(tiny_superset):
 
 
 def probe_inputs(seed=4):
-    x, grades = toy_binary_task(seed=seed)
-    ids = tuple(f"t{i:04d}" for i in range(x.shape[0]))
-    data = LabeledDataset(
-        EmbeddingMatrix(x.astype(np.float32), ids),
-        grades,
-        np.zeros(x.shape[0], dtype=np.int8),
-    )
+    data = as_dataset(*toy_binary_task(seed=seed))
     theta = init_model(ModelArch(2, (8, 4)), seed=seed)
     cleared = theta.values.copy()
     cleared[theta.arch.backbone_count :] = 0.0

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from darl import metrics
 from darl.dataset import RelevanceGrade
 from darl.errors import ConfigError, DataFormatError
 from darl.metrics import (
     DEGENERATE_THRESHOLDS,
     GRID_PERCENTILES,
+    WR_MID_BAND,
     GradeThresholds,
     compute_metrics,
     fit_grade_thresholds,
@@ -317,13 +319,15 @@ def test_histogram_needs_two_bins():
         score_histogram(np.array([0.5]), np.array([WR]), bins=1)
 
 
-def test_wr_mid_fraction_hand_values():
+def test_wr_mid_fraction_hand_values(monkeypatch):
     scores = np.array([0.2, 0.6, 0.7, 0.95, 0.5, 0.94])
     grades = np.array([WR, WR, WR, WR, WR, SR])
     # strict interior of (0.5, 0.95): 0.6 and 0.7 of five WR rows
+    assert WR_MID_BAND == (0.5, 0.95)
     assert wr_mid_fraction(scores, grades) == pytest.approx(2.0 / 5.0)
     # widening to (0.1, 0.9) keeps 0.2/0.5/0.6/0.7 but excludes 0.95
-    assert wr_mid_fraction(scores, grades, low=0.1, high=0.9) == pytest.approx(0.8)
+    monkeypatch.setattr(metrics, "WR_MID_BAND", (0.1, 0.9))
+    assert wr_mid_fraction(scores, grades) == pytest.approx(0.8)
 
 
 def test_wr_mid_fraction_no_wr_rows():

@@ -109,3 +109,28 @@ def test_only_the_model_names_the_one_batch_loss():
         named |= {bound for bound, _, _ in _imports(tree)}
         named |= {name for _, name, _ in _imports(tree)}
         assert not named & one_batch, f"{path.name} names the one-batch loss"
+
+
+def _budget_reads(tree: ast.Module) -> list[str]:
+    """``*_epochs``/``*_lr`` attributes read, and such names built for ``getattr``."""
+    budget = re.compile(r"_(epochs|lr)$")
+    reads = [
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and budget.search(n.attr)
+    ]
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "getattr":
+            named = call.args[1:2]
+            reads += [
+                ast.unparse(arg) for arg in named
+                for part in ast.walk(arg)
+                if isinstance(part, ast.Constant) and budget.search(str(part.value))
+            ]
+    return reads
+
+
+def test_only_lpft_reads_a_stage_budget():
+    # lpft.run_training looks up each stage's epochs and learning rate in
+    # lpft.STAGES; a caller that picks a budget itself would bypass the table
+    reads = {path.name: _budget_reads(_tree(path)) for path in SOURCES if path.name != "lpft.py"}
+    assert {name: found for name, found in reads.items() if found} == {}
