@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -240,7 +241,7 @@ def _calibrate_rule(
     scores = _sample_mixture(centers, _CALIBRATION_DRAWS, rng) @ w
     upper = order_stat_quantile(scores, 1.0 - GRADE_MIX["SR"])
     lower = order_stat_quantile(scores, GRADE_MIX["IR"])
-    return PlantedRule(w=w, mu=(upper + lower) / 2.0, tau=(upper - lower) / 2.0)
+    return PlantedRule(w=_freeze(w), mu=(upper + lower) / 2.0, tau=(upper - lower) / 2.0)
 
 
 def _resample_noise(
@@ -256,7 +257,11 @@ def _resample_noise(
 
 @dataclass(frozen=True)
 class _Blueprint:
-    """Deterministic centers and rules shared by every split of one corpus."""
+    """Deterministic centers and rules shared by every split of one corpus.
+
+    Built once per config and shared by every caller, so its arrays are
+    read-only.
+    """
 
     config: SyntheticConfig
     id_centers: np.ndarray
@@ -267,8 +272,10 @@ class _Blueprint:
     extra_rules: tuple[PlantedRule, ...]
 
 
-def _blueprint(config: SyntheticConfig) -> _Blueprint:
-    cfg = config.validate()
+@lru_cache(maxsize=8)
+def _blueprint(cfg: SyntheticConfig) -> _Blueprint:
+    """The blueprint of a validated config (cached: ``generate_synthetic``
+    and ``generate_pretrain_superset`` share it)."""
     b = cfg.dims
     proj = sub_rng(cfg.seed, "projections")
     w1 = _unit(proj.standard_normal(b))
@@ -308,9 +315,9 @@ def _blueprint(config: SyntheticConfig) -> _Blueprint:
     )
     return _Blueprint(
         config=cfg,
-        id_centers=id_centers,
-        ood_centers=ood_centers,
-        extra_centers=extra_centers,
+        id_centers=_freeze(id_centers),
+        ood_centers=_freeze(ood_centers),
+        extra_centers=_freeze(extra_centers),
         id_rule=id_rule,
         ood_rule=ood_rule,
         extra_rules=extra_rules,
@@ -338,8 +345,8 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     row's true grade and origin; selection reads only its embeddings, and
     the labels serve only oracle labeling and evaluation.
     """
-    bp = _blueprint(config)
-    cfg = bp.config
+    cfg = config.validate()
+    bp = _blueprint(cfg)
 
     train_id = _labeled_split(bp, "train_id", cfg.train_size, "train")
     val_id = _labeled_split(bp, "val_id", cfg.val_size, "val")
@@ -386,8 +393,8 @@ def generate_pretrain_superset(config: SyntheticConfig) -> LabeledDataset:
     small so pretraining shapes the representation without erasing the input
     geometry that the distance-based selector depends on.
     """
-    bp = _blueprint(config)
-    cfg = bp.config
+    cfg = config.validate()
+    bp = _blueprint(cfg)
     rng = sub_rng(cfg.seed, "rows", "pretrain")
     n = cfg.pretrain_size
     total_clusters = cfg.id_cluster_count + cfg.pretrain_extra_clusters

@@ -22,6 +22,8 @@ GRID_PERCENTILES = tuple(range(1, 100))
 DEGENERATE_THRESHOLDS = (1.0 / 3.0, 2.0 / 3.0)
 # open score band counted as the weak-relevance middle
 WR_MID_BAND = (0.5, 0.95)
+# equal-width bins over [0, 1] of each per-grade score histogram
+HISTOGRAM_BINS = 40
 
 
 @dataclass(frozen=True)
@@ -171,25 +173,23 @@ class HistogramReport:
     overlap_wr_sr: float
 
 
-def score_histogram(scores, grades, bins: int = 40) -> HistogramReport:
+def score_histogram(scores, grades) -> HistogramReport:
     """Normalized per-grade histograms plus the WR/SR overlap statistic.
 
-    Each grade's histogram sums to 1 over the bins (zeros when the grade is
-    absent); the overlap is the summed bin-wise minimum of the WR and SR
-    histograms, 1.0 for identical score multisets and 0.0 for disjoint
-    supports.
+    Each grade's histogram sums to 1 over the ``HISTOGRAM_BINS`` bins (zeros
+    when the grade is absent); the overlap is the summed bin-wise minimum of
+    the WR and SR histograms, 1.0 for identical score multisets and 0.0 for
+    disjoint supports.
     """
-    if bins < 2:
-        raise ConfigError("bins", "needs at least 2 bins")
     s, g = _check_pair(scores, grades)
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     by_grade: dict[RelevanceGrade, np.ndarray] = {}
     for grade in RelevanceGrade:
         values = np.clip(s[g == grade.value], 0.0, 1.0)
         counts, _ = np.histogram(values, bins=edges)
         total = counts.sum()
         by_grade[grade] = (
-            counts / total if total else np.zeros(bins, dtype=np.float64)
+            counts / total if total else np.zeros(HISTOGRAM_BINS, dtype=np.float64)
         )
     overlap = float(
         np.minimum(by_grade[RelevanceGrade.WR], by_grade[RelevanceGrade.SR]).sum()

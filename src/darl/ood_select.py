@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .dataset import EmbeddingMatrix
 from .errors import (
@@ -117,10 +116,16 @@ def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValueError("non-finite query value")
-    # d^2 = ||L^-1 (x - mean)||^2 via one triangular solve, O(dims^2)/row
-    diff = (arr - stats.mean).T
-    solved = solve_triangular(stats.chol_lower, diff, lower=True)
-    return np.sqrt(np.sum(solved * solved, axis=0))
+    # scipy.linalg takes about 0.3 s to import and only this call needs it,
+    # so a process that scores no Mahalanobis distance never loads it
+    from scipy.linalg import solve_triangular
+
+    # d^2 = ||L^-1 (x - mean)||^2 via one triangular solve, O(dims^2)/row;
+    # the centred block is a fresh array, so the solve and the square reuse it
+    solved = solve_triangular(
+        stats.chol_lower, (arr - stats.mean).T, lower=True, overwrite_b=True
+    )
+    return np.sqrt(np.sum(np.square(solved, out=solved), axis=0))
 
 
 @dataclass(frozen=True)

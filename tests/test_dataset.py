@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import TINY_CONFIG, make_dataset
+from darl import dataset
 from darl.dataset import (
     EMBEDDING_MAGIC,
     GRADE_MIX,
@@ -158,6 +159,7 @@ def test_zero_shift_norm_is_allowed():
 
 
 def test_generation_is_deterministic(tiny_corpus):
+    dataset._blueprint.cache_clear()  # derive the blueprint from the seed again
     again = generate_synthetic(TINY_CONFIG)
     np.testing.assert_array_equal(
         tiny_corpus.train_id.embeddings.data, again.train_id.embeddings.data
@@ -239,9 +241,27 @@ def test_pretrain_superset_shape_and_determinism():
     assert sup.rows == TINY_CONFIG.pretrain_size
     assert sup.ids[0].startswith("pre-")
     assert np.all(sup.origin == int(Origin.ID))
+    dataset._blueprint.cache_clear()  # derive the blueprint from the seed again
     again = generate_pretrain_superset(TINY_CONFIG)
     np.testing.assert_array_equal(sup.embeddings.data, again.embeddings.data)
     np.testing.assert_array_equal(sup.grades, again.grades)
+
+
+def test_blueprint_is_built_once_per_config_and_read_only():
+    import dataclasses
+
+    dataset._blueprint.cache_clear()
+    generate_synthetic(TINY_CONFIG)
+    generate_pretrain_superset(TINY_CONFIG)
+    info = dataset._blueprint.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    bp = dataset._blueprint(TINY_CONFIG)
+    rules = (bp.id_rule, bp.ood_rule, *bp.extra_rules)
+    for arr in (bp.id_centers, bp.ood_centers, bp.extra_centers, *(r.w for r in rules)):
+        assert not arr.flags.writeable
+    # a config equal to a cached one is still validated on its own
+    with pytest.raises(ConfigError, match="dims"):
+        generate_synthetic(dataclasses.replace(TINY_CONFIG, dims=8.0))
 
 
 # ---------------------------------------------------------------------------

@@ -273,50 +273,51 @@ def test_absent_grade_scores_zero_f1():
 # histograms
 
 
-def test_histogram_rows_sum_to_one():
+def test_histogram_rows_sum_to_one(monkeypatch):
+    monkeypatch.setattr(metrics, "HISTOGRAM_BINS", 20)
     rng = np.random.default_rng(3)
     scores = rng.random(600)
     grades = rng.integers(0, 3, size=600)
-    report = score_histogram(scores, grades, bins=20)
+    report = score_histogram(scores, grades)
     for g in RelevanceGrade:
         assert report.by_grade[g].sum() == pytest.approx(1.0)
     assert report.bin_edges.shape == (21,)
 
 
-def test_histogram_absent_grade_is_all_zero():
+def test_histogram_absent_grade_is_all_zero(monkeypatch):
+    monkeypatch.setattr(metrics, "HISTOGRAM_BINS", 10)
     scores = np.array([0.2, 0.8] * 15)
     grades = np.array([IR, SR] * 15)
-    report = score_histogram(scores, grades, bins=10)
+    report = score_histogram(scores, grades)
     np.testing.assert_array_equal(report.by_grade[RelevanceGrade.WR], 0.0)
+    assert report.by_grade[RelevanceGrade.WR].shape == (10,)
     assert report.overlap_wr_sr == 0.0
 
 
-def test_histogram_identical_wr_sr_multisets_overlap_fully():
+def test_histogram_identical_wr_sr_multisets_overlap_fully(monkeypatch):
+    monkeypatch.setattr(metrics, "HISTOGRAM_BINS", 8)
     values = np.array([0.3, 0.5, 0.5, 0.7])
     scores = np.concatenate([values, values])
     grades = np.array([WR] * 4 + [SR] * 4)
-    report = score_histogram(scores, grades, bins=8)
+    report = score_histogram(scores, grades)
     assert report.overlap_wr_sr == pytest.approx(1.0)
 
 
-def test_histogram_disjoint_wr_sr_do_not_overlap():
+def test_histogram_disjoint_wr_sr_do_not_overlap(monkeypatch):
+    monkeypatch.setattr(metrics, "HISTOGRAM_BINS", 10)
     scores = np.array([0.1, 0.2, 0.15, 0.85, 0.9, 0.95])
     grades = np.array([WR, WR, WR, SR, SR, SR])
-    report = score_histogram(scores, grades, bins=10)
+    report = score_histogram(scores, grades)
     assert report.overlap_wr_sr == 0.0
 
 
-def test_histogram_clips_out_of_range_scores():
+def test_histogram_clips_out_of_range_scores(monkeypatch):
+    monkeypatch.setattr(metrics, "HISTOGRAM_BINS", 4)
     scores = np.array([-0.5, 1.5])
     grades = np.array([WR, WR])
-    report = score_histogram(scores, grades, bins=4)
+    report = score_histogram(scores, grades)
     h = report.by_grade[RelevanceGrade.WR]
     assert h[0] == pytest.approx(0.5) and h[-1] == pytest.approx(0.5)
-
-
-def test_histogram_needs_two_bins():
-    with pytest.raises(ConfigError):
-        score_histogram(np.array([0.5]), np.array([WR]), bins=1)
 
 
 def test_wr_mid_fraction_hand_values(monkeypatch):
@@ -334,9 +335,10 @@ def test_wr_mid_fraction_no_wr_rows():
     assert wr_mid_fraction(np.array([0.5]), np.array([SR])) == 0.0
 
 
-def test_write_histogram_format(tmp_path):
+def test_write_histogram_format(tmp_path, monkeypatch):
+    monkeypatch.setattr(metrics, "HISTOGRAM_BINS", 5)
     rng = np.random.default_rng(4)
-    report = score_histogram(rng.random(100), rng.integers(0, 3, 100), bins=5)
+    report = score_histogram(rng.random(100), rng.integers(0, 3, 100))
     path = tmp_path / "hist.tsv"
     write_histogram(report, path)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -138,6 +138,47 @@ def test_mahalanobis_query_validation():
         mahalanobis_batch(stats, np.array([[np.inf, 0.0, 0.0]]))
 
 
+def three_array_mahalanobis(stats, x):
+    """Reference: the centred block, its solved copy and their square."""
+    from scipy.linalg import solve_triangular
+
+    diff = (np.atleast_2d(np.asarray(x, dtype=np.float64)) - stats.mean).T
+    solved = solve_triangular(stats.chol_lower, diff, lower=True)
+    return np.sqrt(np.sum(solved * solved, axis=0))
+
+
+def test_mahalanobis_in_place_solve_matches_three_array_formula():
+    rng = np.random.default_rng(9)
+    stats = fit_gaussian(rng.standard_normal((300, 6)) @ rng.standard_normal((6, 6)))
+    for rows in (1, 2, 3, 4097):
+        queries = 3.0 * rng.standard_normal((rows, 6))
+        kept = queries.copy()
+        for x in (queries, queries.astype(np.float32), np.asfortranarray(queries)):
+            got = mahalanobis_batch(stats, x)
+            assert got.tobytes() == three_array_mahalanobis(stats, x).tobytes()
+        # the caller's rows are never the solve's scratch space
+        assert np.array_equal(queries, kept)
+    row = queries[0].copy()
+    assert mahalanobis_batch(stats, row).tobytes() == three_array_mahalanobis(stats, row).tobytes()
+    assert np.array_equal(row, kept[0])
+
+
+def test_mahalanobis_holds_one_centred_block():
+    rng = np.random.default_rng(10)
+    stats = fit_gaussian(rng.standard_normal((200, 32)))
+    queries = rng.standard_normal((100_000, 32))
+    mahalanobis_batch(stats, queries[:2])  # import scipy.linalg untraced
+    tracemalloc.start()
+    try:
+        mahalanobis_batch(stats, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the centred float64 block, plus slack for the finiteness masks and the
+    # per-row results; the three-array formula peaks at three blocks
+    assert peak <= 1.25 * queries.nbytes
+
+
 # ---------------------------------------------------------------------------
 # nearest-neighbor cosine distance
 

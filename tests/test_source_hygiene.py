@@ -1,7 +1,11 @@
-"""Static checks on the package source: no dead imports, no private cross-module imports."""
+"""Checks on the package source: no dead imports, no private cross-module imports,
+no import that every process pays for and few need."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +138,23 @@ def test_only_lpft_reads_a_stage_budget():
     # lpft.STAGES; a caller that picks a budget itself would bypass the table
     reads = {path.name: _budget_reads(_tree(path)) for path in SOURCES if path.name != "lpft.py"}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_scipy_loads_at_the_first_mahalanobis_distance():
+    # scipy.linalg is most of the CLI's start-up time and only
+    # mahalanobis_batch uses it, so importing darl must not load scipy
+    probe = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import darl.cli, darl.harness",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "from darl.ood_select import fit_gaussian, mahalanobis_batch",
+        "mahalanobis_batch(fit_gaussian(np.eye(3)), np.zeros(3))",
+        "print('scipy.linalg' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]
