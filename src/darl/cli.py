@@ -171,7 +171,6 @@ def _build_config(file_values: dict, overrides: dict) -> RunConfig:
         )
     if overrides.get("alpha") is not None:
         config = dataclasses.replace(config, alpha=overrides["alpha"])
-    config.corpus.validate()
     return config
 
 

@@ -150,7 +150,8 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Recipe for the synthetic corpus; every field has a workable default."""
+    """Recipe for the synthetic corpus; every field has a workable default
+    and is checked on construction."""
 
     dims: int = 32
     id_cluster_count: int = 8
@@ -167,7 +168,7 @@ class SyntheticConfig:
     pretrain_extra_clusters: int = 8
     seed: int = 7
 
-    def validate(self) -> "SyntheticConfig":
+    def __post_init__(self) -> None:
         counts = {
             "dims": self.dims,
             "id_cluster_count": self.id_cluster_count,
@@ -196,7 +197,6 @@ class SyntheticConfig:
                 "pool_ood_fraction",
                 f"must be in [0, 1), got {self.pool_ood_fraction!r}",
             )
-        return self
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,8 @@ class _Blueprint:
 
 @lru_cache(maxsize=8)
 def _blueprint(cfg: SyntheticConfig) -> _Blueprint:
-    """The blueprint of a validated config (cached: ``generate_synthetic``
-    and ``generate_pretrain_superset`` share it)."""
+    """The blueprint of a config (cached: ``generate_synthetic`` and
+    ``generate_pretrain_superset`` share it)."""
     b = cfg.dims
     proj = sub_rng(cfg.seed, "projections")
     w1 = _unit(proj.standard_normal(b))
@@ -345,18 +345,17 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     row's true grade and origin; selection reads only its embeddings, and
     the labels serve only oracle labeling and evaluation.
     """
-    cfg = config.validate()
-    bp = _blueprint(cfg)
+    bp = _blueprint(config)
 
-    train_id = _labeled_split(bp, "train_id", cfg.train_size, "train")
-    val_id = _labeled_split(bp, "val_id", cfg.val_size, "val")
-    test_id = _labeled_split(bp, "test_id", cfg.test_size, "test")
+    train_id = _labeled_split(bp, "train_id", config.train_size, "train")
+    val_id = _labeled_split(bp, "val_id", config.val_size, "val")
+    test_id = _labeled_split(bp, "test_id", config.test_size, "test")
 
-    n_ood = int(round(cfg.pool_size * cfg.pool_ood_fraction))
-    n_id = cfg.pool_size - n_ood
-    id_rows = _sample_mixture(bp.id_centers, n_id, sub_rng(cfg.seed, "rows", "pool_id"))
+    n_ood = int(round(config.pool_size * config.pool_ood_fraction))
+    n_id = config.pool_size - n_ood
+    id_rows = _sample_mixture(bp.id_centers, n_id, sub_rng(config.seed, "rows", "pool_id"))
     ood_rows = _sample_mixture(
-        bp.ood_centers, n_ood, sub_rng(cfg.seed, "rows", "pool_ood")
+        bp.ood_centers, n_ood, sub_rng(config.seed, "rows", "pool_ood")
     )
     points = np.concatenate([id_rows, ood_rows], axis=0)
     grades = np.concatenate(
@@ -368,12 +367,12 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
             np.full(n_ood, int(Origin.OOD), dtype=np.int8),
         ]
     )
-    perm = sub_rng(cfg.seed, "pool-shuffle").permutation(cfg.pool_size)
+    perm = sub_rng(config.seed, "pool-shuffle").permutation(config.pool_size)
     points, grades, origin = points[perm], grades[perm], origin[perm]
     grades = _resample_noise(
-        grades, cfg.label_noise_rate, sub_rng(cfg.seed, "noise", "pool")
+        grades, config.label_noise_rate, sub_rng(config.seed, "noise", "pool")
     )
-    ids = tuple(f"pool-{i:06d}" for i in range(cfg.pool_size))
+    ids = tuple(f"pool-{i:06d}" for i in range(config.pool_size))
     pool = EmbeddingMatrix(points.astype(np.float32), ids)
 
     return SyntheticCorpus(
@@ -393,21 +392,20 @@ def generate_pretrain_superset(config: SyntheticConfig) -> LabeledDataset:
     small so pretraining shapes the representation without erasing the input
     geometry that the distance-based selector depends on.
     """
-    cfg = config.validate()
-    bp = _blueprint(cfg)
-    rng = sub_rng(cfg.seed, "rows", "pretrain")
-    n = cfg.pretrain_size
-    total_clusters = cfg.id_cluster_count + cfg.pretrain_extra_clusters
+    bp = _blueprint(config)
+    rng = sub_rng(config.seed, "rows", "pretrain")
+    n = config.pretrain_size
+    total_clusters = config.id_cluster_count + config.pretrain_extra_clusters
     centers = np.concatenate([bp.id_centers, bp.extra_centers], axis=0)
     picks = rng.integers(0, total_clusters, size=n)
-    points = centers[picks] + rng.standard_normal((n, cfg.dims))
+    points = centers[picks] + rng.standard_normal((n, config.dims))
     grades = bp.id_rule.grade_of(points)
     for j, rule in enumerate(bp.extra_rules):
-        mask = picks == cfg.id_cluster_count + j
+        mask = picks == config.id_cluster_count + j
         if mask.any():
             grades[mask] = rule.grade_of(points[mask])
     grades = _resample_noise(
-        grades, cfg.label_noise_rate, sub_rng(cfg.seed, "noise", "pretrain")
+        grades, config.label_noise_rate, sub_rng(config.seed, "noise", "pretrain")
     )
     ids = tuple(f"pre-{i:06d}" for i in range(n))
     matrix = EmbeddingMatrix(points.astype(np.float32), ids)

@@ -65,6 +65,12 @@ class SingularCovarianceError(DarlError, ValueError):
     exit_code = 3
 
 
+class DivergenceError(DarlError, ArithmeticError):
+    """A training step left a non-finite model parameter."""
+
+    exit_code = 3
+
+
 class CheckpointError(DarlError, ValueError):
     pass
 

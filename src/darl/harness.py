@@ -383,13 +383,18 @@ def budget_sweep(
 ) -> tuple[BudgetRow, ...]:
     """Equal-budget comparison of ranked selection against random draws.
 
-    Budgets are fractions of the selected-set size.  The ranked strategy
-    fills its budget by the weaker-rank ordering within the selected set;
-    the random strategy draws the same number of rows uniformly from the
-    whole selection split (nested across budgets), so both strategies add
-    equally many rows and differ only in which rows.  Every budget is
-    checked before any model trains; the models then train side by side.
+    Budgets are fractions in [0, 1] of the selected-set size.  The ranked
+    strategy fills its budget by the weaker-rank ordering within the
+    selected set; the random strategy draws the same number of rows
+    uniformly from the whole selection split (nested across budgets), so
+    both strategies add equally many rows and differ only in which rows.
+    Every budget is checked before anything trains; the models then train
+    side by side.
     """
+    budgets = tuple(map(float, budgets))
+    for b in budgets:
+        if not 0.0 <= b <= 1.0:
+            raise ConfigError("budgets", f"must lie in [0, 1], got {b:g}")
     prep = prepare(config, seed)
     plan = config.for_seed(seed).plan
     prior = config.prior()
@@ -416,16 +421,9 @@ def budget_sweep(
         )
 
     tasks = []
-    for budget in budgets:
-        b = float(budget)
-        if b < 0.0:
-            raise ConfigError("budgets", "must be nonnegative")
+    for b in budgets:
         take = int(round(b * sel.size))
-        if take > n_pool:
-            raise DataFormatError(
-                f"budget {b:g} asks for {take} rows but the pool has {n_pool}"
-            )
-        tasks.append(partial(row, b, "dasa", ranked[: min(take, ranked.size)]))
+        tasks.append(partial(row, b, "dasa", ranked[:take]))
         tasks.append(partial(row, b, "random", random_order[:take]))
     return tuple(parallel(*tasks))
 

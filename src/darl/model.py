@@ -25,10 +25,11 @@ from .errors import (
     ConfigError,
     DataFormatError,
     DimensionMismatchError,
+    DivergenceError,
     NonFiniteValueError,
     TruncatedPayloadError,
 )
-from .util import canonical_json, sub_rng
+from .util import canonical_json, finite_rows, row_blocks, sub_rng
 
 CHECKPOINT_MAGIC = b"DARL"
 CHECKPOINT_VERSION = 1
@@ -180,23 +181,6 @@ class ForwardResult(NamedTuple):
     reps: np.ndarray
 
 
-def _check_inputs(arch: ModelArch, x: np.ndarray, widen: bool = True) -> np.ndarray:
-    """``x`` as finite (n, input_dims) rows: float64, or kept float32 if not ``widen``."""
-    batch = np.asarray(x)
-    if widen or batch.dtype != np.float32:
-        batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim == 1:
-        batch = batch[None, :]
-    if batch.ndim != 2 or batch.shape[1] != arch.input_dims:
-        raise DimensionMismatchError(
-            f"input has shape {np.asarray(x).shape}, model expects "
-            f"(n, {arch.input_dims})"
-        )
-    if not np.all(np.isfinite(batch)):
-        raise NonFiniteValueError("non-finite model input")
-    return batch
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
     d = 1.0 + e
@@ -219,7 +203,7 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
 
     One pass, never blocks: the head's product rounds differently per row count.
     """
-    batch = _check_inputs(params.arch, x)
+    batch = finite_rows(x, params.arch.input_dims, "model input")
     views = _layer_views(params.arch, params.values)
     reps = _hidden(views, batch, [np.empty((len(batch), w)) for w in params.arch.hidden])
     head_w, head_b = views[-1]
@@ -230,19 +214,16 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
 def representations(params: ModelParams, x: np.ndarray, block: int = 4096) -> np.ndarray:
     """Penultimate-layer activations, the space used for OOD scoring.
 
-    Only the hidden layers run, ``block`` rows at a time.  All blocks have
-    the same size (the last overlaps its predecessor), so BLAS never takes
-    its one-row path, which rounds differently: rows match ``forward_batch``.
+    Only the hidden layers run, in ``util.row_blocks`` of ``block`` rows, so
+    each row matches ``forward_batch`` bit for bit.
     """
     arch = params.arch
-    rows = _check_inputs(arch, x, widen=False)
+    rows = finite_rows(x, arch.input_dims, "model input", widen=False)
     n = rows.shape[0]
     views = _layer_views(arch, params.values)
     reps = np.empty((n, arch.rep_dims))
-    width = min(n, block)
-    outs = [np.empty((width, w)) for w in arch.hidden[:-1]]
-    for start in range(0, n, max(width, 1)):
-        part = slice(min(start, n - width), min(start, n - width) + width)
+    outs = [np.empty((min(n, block), w)) for w in arch.hidden[:-1]]
+    for part in row_blocks(n, block):
         _hidden(views, np.asarray(rows[part], dtype=np.float64), [*outs, reps[part]])
     return reps
 
@@ -310,7 +291,7 @@ class StageObjective:
     ) -> None:
         arch = params.arch
         region = trainable_slice(arch, trainable)
-        self._x = _check_inputs(arch, x)
+        self._x = finite_rows(x, arch.input_dims, "model input")
         n = self._x.shape[0]
         if n == 0:
             raise DataFormatError("loss needs a nonempty batch")
@@ -456,7 +437,7 @@ def adam_step(opt: OptState, values: np.ndarray, grad_vec: np.ndarray) -> None:
     region = values[opt.region]
     region -= m_hat
     if not np.all(np.isfinite(region)):
-        raise NonFiniteValueError("non-finite model parameter")
+        raise DivergenceError("non-finite model parameter")
     opt.step = t
 
 

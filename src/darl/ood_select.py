@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import EmbeddingMatrix
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -23,31 +22,11 @@ from .errors import (
     NonFiniteValueError,
     SingularCovarianceError,
 )
-from .util import order_stat_quantile
+from .util import finite_rows, order_stat_quantile, row_blocks
 
 DEFAULT_RIDGE_SCALE = 1e-4
 MIN_CALIBRATION_SAMPLES = 50
-
-
-def _as_matrix(reps) -> np.ndarray:
-    """Accept an EmbeddingMatrix or a plain 2-D array of representations."""
-    if isinstance(reps, EmbeddingMatrix):
-        return np.asarray(reps.data, dtype=np.float64)
-    arr = np.asarray(reps, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(
-            f"representations must be 2-D, got shape {arr.shape}"
-        )
-    return arr
-
-
-def _row_ids(reps, rows: int, ids) -> tuple[str, ...]:
-    """The given ids, else the matrix's own, else ``row-NNNNNN`` by position."""
-    if ids is not None:
-        return tuple(ids)
-    if isinstance(reps, EmbeddingMatrix):
-        return reps.ids
-    return tuple(f"row-{i:06d}" for i in range(rows))
+KNN_CHUNK = 192  # query rows per kNN similarity block
 
 
 @dataclass(frozen=True)
@@ -74,12 +53,10 @@ def fit_gaussian(reps, ridge: float | None = None) -> GaussianStats:
     ``ridge`` defaults to ``1e-4 * trace(covariance) / dims``; pass 0.0 to
     demand an unregularized factorization.
     """
-    data = _as_matrix(reps)
+    data = finite_rows(reps, None, "representation")
     n, dims = data.shape
     if n < 1:
         raise DataFormatError("cannot fit a Gaussian on zero rows")
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteValueError("non-finite representation value")
     mean = data.mean(axis=0)
     centered = data - mean
     if n > 1:
@@ -106,16 +83,7 @@ def fit_gaussian(reps, ridge: float | None = None) -> GaussianStats:
 
 def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
     """Mahalanobis distance of each row to the fitted Gaussian."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != stats.dims:
-        raise DimensionMismatchError(
-            f"query has shape {np.asarray(x).shape}, Gaussian has "
-            f"{stats.dims} dims"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValueError("non-finite query value")
+    arr = finite_rows(x, stats.dims, "query")
     # scipy.linalg takes about 0.3 s to import and only this call needs it,
     # so a process that scores no Mahalanobis distance never loads it
     from scipy.linalg import solve_triangular
@@ -123,9 +91,14 @@ def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
     # d^2 = ||L^-1 (x - mean)||^2 via one triangular solve, O(dims^2)/row;
     # the centred block is a fresh array, so the solve and the square reuse it
     solved = solve_triangular(
-        stats.chol_lower, (arr - stats.mean).T, lower=True, overwrite_b=True
+        stats.chol_lower, (arr - stats.mean).T, lower=True, overwrite_b=True,
+        check_finite=False,
     )
-    return np.sqrt(np.sum(np.square(solved, out=solved), axis=0))
+    distances = np.sqrt(np.sum(np.square(solved, out=solved), axis=0))
+    # finite rows can still overflow while centring, solving or squaring
+    if not np.all(np.isfinite(distances)):
+        raise NonFiniteValueError("non-finite Mahalanobis distance (a query overflows)")
+    return distances
 
 
 @dataclass(frozen=True)
@@ -133,7 +106,6 @@ class NeighborIndex:
     """Unit-normalized reference rows for exact cosine nearest neighbor."""
 
     vectors: np.ndarray
-    ids: tuple[str, ...]
 
     @property
     def rows(self) -> int:
@@ -145,51 +117,32 @@ class NeighborIndex:
 
 
 def build_index(reps, ids: tuple[str, ...] | None = None) -> NeighborIndex:
-    """L2-normalize reference rows; rejects zero-norm rows by id."""
-    data = _as_matrix(reps)
-    row_ids = _row_ids(reps, data.shape[0], ids)
+    """L2-normalize reference rows; a zero-norm row is rejected, named by
+    its entry in ``ids`` when given, else by its position."""
+    data = finite_rows(reps, None, "representation")
     if data.shape[0] < 1:
         raise DataFormatError("neighbor index needs at least one row")
-    if len(row_ids) != data.shape[0]:
-        raise DimensionMismatchError(
-            f"{len(row_ids)} ids for {data.shape[0]} rows"
-        )
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteValueError("non-finite representation value")
     norms = np.linalg.norm(data, axis=1)
     bad = np.flatnonzero(norms < np.finfo(np.float64).tiny)
     if bad.size:
+        row = int(bad[0])
         raise DataFormatError(
-            f"zero-norm representation row {row_ids[int(bad[0])]!r}"
+            f"zero-norm representation row {row if ids is None else ids[row]!r}"
         )
     vectors = data / norms[:, None]
     vectors.flags.writeable = False
-    return NeighborIndex(vectors=vectors, ids=row_ids)
+    return NeighborIndex(vectors=vectors)
 
 
-def knn_distance_batch(
-    index: NeighborIndex, x: np.ndarray, chunk: int = 192
-) -> np.ndarray:
+def knn_distance_batch(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
     """Exact nearest-neighbor cosine distance per query row, in [0, 2].
 
-    Brute force over every reference row, in blocks of ``chunk`` queries.
-    One ``min(chunk, rows) x index.rows`` float64 similarity buffer is
-    allocated per call and refilled for every block.  Every block holds the
-    same number of rows, at least two (the last one overlaps its
-    predecessor), so BLAS never switches to its one-row kernel, which
-    rounds differently: each row's distance is bit-identical whatever the
-    chunk size.
+    Brute force over every reference row, in ``util.row_blocks`` of
+    ``KNN_CHUNK`` queries.  One ``min(KNN_CHUNK, rows) x index.rows``
+    float64 similarity buffer is allocated per call and refilled for every
+    block, and each row's distance is bit-identical whatever the chunk size.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != index.dims:
-        raise DimensionMismatchError(
-            f"query has shape {np.asarray(x).shape}, index has "
-            f"{index.dims} dims"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValueError("non-finite query value")
+    arr = finite_rows(x, index.dims, "query")
     norms = np.linalg.norm(arr, axis=1)
     bad = np.flatnonzero(norms < np.finfo(np.float64).tiny)
     if bad.size:
@@ -197,12 +150,10 @@ def knn_distance_batch(
     queries = arr / norms[:, None]
     n = queries.shape[0]
     out = np.empty(n, dtype=np.float64)
-    width = min(max(chunk, 2), max(n, 1))
-    sims = np.empty((width, index.rows), dtype=np.float64)
-    for start in range(0, n, width):
-        start = min(start, n - width)
-        np.matmul(queries[start : start + width], index.vectors.T, out=sims)
-        out[start : start + width] = 1.0 - sims.max(axis=1)
+    sims = np.empty((min(KNN_CHUNK, n), index.rows), dtype=np.float64)
+    for part in row_blocks(n, KNN_CHUNK):
+        np.matmul(queries[part], index.vectors.T, out=sims)
+        out[part] = 1.0 - sims.max(axis=1)
     return np.clip(out, 0.0, 2.0)
 
 
@@ -370,38 +321,26 @@ class SelectionReport:
         return np.flatnonzero(self.selected)
 
 
-def score_pool(
-    pool_reps,
-    stats: GaussianStats,
-    index: NeighborIndex,
-    ids: tuple[str, ...] | None = None,
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Both distances for every pool row, float64 throughout."""
-    data = _as_matrix(pool_reps)
-    row_ids = _row_ids(pool_reps, data.shape[0], ids)
-    if stats.dims != index.dims or data.shape[1] != stats.dims:
-        raise DimensionMismatchError(
-            f"dims disagree: pool {data.shape[1]}, gaussian {stats.dims}, "
-            f"index {index.dims}"
-        )
-    mahal = mahalanobis_batch(stats, data)
-    knn = knn_distance_batch(index, data)
-    return row_ids, mahal, knn
-
-
 def select_ood(
     pool_reps,
     stats: GaussianStats,
     index: NeighborIndex,
     thresholds: OodThresholds,
-    ids: tuple[str, ...] | None = None,
+    ids: tuple[str, ...],
 ) -> SelectionReport:
-    """Flag rows whose distances both strictly exceed the thresholds."""
-    row_ids, mahal, knn = score_pool(pool_reps, stats, index, ids=ids)
+    """Score every pool row (named by ``ids``) on both distances, float64
+    throughout, and flag rows whose distances both strictly exceed the
+    thresholds."""
+    if stats.dims != index.dims:
+        raise DimensionMismatchError(
+            f"dims disagree: gaussian {stats.dims}, index {index.dims}"
+        )
+    mahal = mahalanobis_batch(stats, pool_reps)
+    knn = knn_distance_batch(index, pool_reps)
     flag_m = mahal > thresholds.d1
     flag_k = knn > thresholds.d2
     return SelectionReport(
-        ids=row_ids,
+        ids=tuple(ids),
         mahal=mahal,
         knn=knn,
         flag_mahal=flag_m,

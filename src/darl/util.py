@@ -1,5 +1,5 @@
-"""Small shared helpers: seeded RNG derivation, order-statistic quantiles,
-hashing, and forked parallel calls."""
+"""Small shared helpers: seeded RNG derivation, row checks and blocks,
+order-statistic quantiles, hashing, and forked parallel calls."""
 
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ import pickle
 import signal
 import sys
 import zlib
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .errors import WorkerError
+from .errors import DimensionMismatchError, NonFiniteValueError, WorkerError
 
 
 def sub_rng(seed: int, *tags: str | int) -> np.random.Generator:
@@ -31,6 +31,40 @@ def sub_rng(seed: int, *tags: str | int) -> np.random.Generator:
         else:
             entropy.append(zlib.crc32(tag.encode("utf-8")))
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def finite_rows(x, width: int | None, what: str, widen: bool = True) -> np.ndarray:
+    """``x`` as finite 2-D rows of ``width`` columns (any width if ``None``).
+
+    A 1-D array is one row.  Rows are float64; float32 rows stay float32
+    when ``widen`` is off.  Both errors name ``what``.
+    """
+    rows = np.asarray(x)
+    if widen or rows.dtype != np.float32:
+        rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2 or width not in (None, rows.shape[1]):
+        raise DimensionMismatchError(
+            f"{what} has shape {np.shape(x)}, expected (n, {width or 'dims'})"
+        )
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteValueError(f"non-finite {what} value")
+    return rows
+
+
+def row_blocks(n: int, width: int) -> Iterator[slice]:
+    """Slices of ``min(width, n)`` rows that together cover ``range(n)``.
+
+    The last slice overlaps its predecessor instead of running short, so
+    every block has the same row count, and no block has a single row
+    unless ``width`` or ``n`` is 1.  BLAS's one-row kernel rounds
+    differently, so this keeps a row's result independent of the width.
+    """
+    width = min(width, n)
+    for start in range(0, n, max(width, 1)):
+        start = min(start, n - width)
+        yield slice(start, start + width)
 
 
 def order_stat_quantile(values: np.ndarray, level: float | np.ndarray):

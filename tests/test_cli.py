@@ -535,7 +535,7 @@ def test_cli_ablate_writes_table(tiny_config_path, pipeline_run, capsys):
     assert sum(1 for ln in lines if ln.startswith("mean\t")) == 4
 
 
-def test_a_stage_diverging_in_a_worker_exits_2(tmp_path, capsys, monkeypatch):
+def test_a_stage_diverging_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
     # rung 4's probe (lp_lr) trains in a forked worker beside rungs 1-3
     monkeypatch.setattr(util, "available_cpus", lambda: 2)
     config = {**TINY_JSON, "plan": {**TINY_JSON["plan"], "lp_lr": 1e307}, "trend_seeds": [5]}
@@ -543,8 +543,18 @@ def test_a_stage_diverging_in_a_worker_exits_2(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(config), encoding="utf-8")
     with np.errstate(all="ignore"):
         code = main(["ablate", "--config", str(path), "--run-dir", str(tmp_path / "run")])
-    assert code == 2
+    assert code == 3
     assert capsys.readouterr().err == "darl: error: non-finite model parameter\n"
+
+
+def test_sweep_budget_rejects_a_budget_above_one(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY_JSON, "budgets": [1.5]}), encoding="utf-8")
+    code = main(["sweep-budget", "--config", str(path), "--run-dir", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("darl: error: budgets:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.slow

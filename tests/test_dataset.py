@@ -144,14 +144,13 @@ def test_labeled_dataset_validates_lengths_and_ranges():
     ],
 )
 def test_synthetic_config_validation_names_the_field(field, value):
-    cfg = SyntheticConfig(**{field: value})
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        SyntheticConfig(**{field: value})
     assert err.value.field == field
 
 
 def test_zero_shift_norm_is_allowed():
-    SyntheticConfig(ood_shift_norm=0.0).validate()
+    assert SyntheticConfig(ood_shift_norm=0.0).ood_shift_norm == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def test_blueprint_is_built_once_per_config_and_read_only():
     rules = (bp.id_rule, bp.ood_rule, *bp.extra_rules)
     for arr in (bp.id_centers, bp.ood_centers, bp.extra_centers, *(r.w for r in rules)):
         assert not arr.flags.writeable
-    # a config equal to a cached one is still validated on its own
+    # a config equal to a cached one but invalid cannot even be built
     with pytest.raises(ConfigError, match="dims"):
         generate_synthetic(dataclasses.replace(TINY_CONFIG, dims=8.0))
 

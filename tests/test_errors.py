@@ -24,6 +24,7 @@ SAMPLES = {
     errors.DuplicateIdError: errors.DuplicateIdError("duplicate id 'row-1'"),
     errors.DimensionMismatchError: errors.DimensionMismatchError("dims differ: 8 vs 4"),
     errors.SingularCovarianceError: errors.SingularCovarianceError("not positive definite"),
+    errors.DivergenceError: errors.DivergenceError("non-finite model parameter"),
     errors.CheckpointError: errors.CheckpointError("crc mismatch"),
     errors.MissingArtifactError: errors.MissingArtifactError("run/thresholds.json", "fit-ood"),
     errors.RunDirError: errors.RunDirError("cannot create run/"),

@@ -12,7 +12,7 @@ from conftest import TINY_CONFIG, TINY_PLAN
 
 from darl import harness, util
 from darl.dataset import Origin, SyntheticConfig, generate_synthetic
-from darl.errors import ConfigError, DataFormatError, NonFiniteValueError
+from darl.errors import ConfigError, DivergenceError
 from darl.harness import (
     DEFAULT_BUDGETS,
     LADDER_LABELS,
@@ -135,7 +135,7 @@ def test_prepare_no_shift_corpus_selects_near_nothing():
     )
     corpus = generate_synthetic(corpus_cfg)
     stats = fit_gaussian(corpus.train_id.embeddings.data)
-    index = build_index(corpus.train_id.embeddings)
+    index = build_index(corpus.train_id.embeddings.data)
     alpha = 0.1
     thresholds = calibrate_thresholds(
         *_distances(stats, index, corpus.val_id.embeddings.data),
@@ -201,9 +201,16 @@ def test_budget_sweep_checks_every_budget_before_training(monkeypatch):
     monkeypatch.setattr(harness, "run_training", counted)
     with pytest.raises(ConfigError, match="budgets"):
         budget_sweep(SMALL, 5, budgets=(0.5, -0.25))
-    with pytest.raises(DataFormatError, match="asks for"):
+    with pytest.raises(ConfigError, match="budgets"):
         budget_sweep(SMALL, 5, budgets=(0.5, 1e6))
     assert calls == []
+
+
+def test_budget_sweep_rejects_a_budget_above_one():
+    # the ranked strategy draws only from the selected set, so a budget
+    # above 1 would give the two strategies unequal row counts
+    with pytest.raises(ConfigError, match="budgets"):
+        budget_sweep(SMALL, 5, budgets=(1.5,))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +253,9 @@ def test_a_diverging_stage_in_a_worker_raises_in_the_parent(monkeypatch):
     diverging = partial(train, plan=dataclasses.replace(plan, ft_lr=np.inf))
     monkeypatch.setattr(util, "available_cpus", lambda: 2)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NonFiniteValueError) as serial:
+        with pytest.raises(DivergenceError) as serial:
             diverging()
-        with pytest.raises(NonFiniteValueError) as forked:
+        with pytest.raises(DivergenceError) as forked:
             util.parallel(partial(train, plan=plan), diverging)
     assert str(forked.value) == str(serial.value) == "non-finite model parameter"
     assert_no_child_left()

@@ -12,7 +12,7 @@ from darl.errors import (
     CheckpointError,
     ConfigError,
     DataFormatError,
-    NonFiniteValueError,
+    DivergenceError,
 )
 from darl import lpft
 from darl.harness import ExperimentConfig, prepare
@@ -180,7 +180,7 @@ def test_run_training_rejects_a_diverging_stage():
     data = as_dataset(*toy_binary_task())
     params = init_model(ModelArch(2, (8, 4)), seed=6)
     plan = dataclasses.replace(UNIT_PLAN, ft_epochs=1, ft_lr=np.inf)
-    with pytest.raises(NonFiniteValueError, match="non-finite model parameter"):
+    with pytest.raises(DivergenceError, match="non-finite model parameter"):
         run_training(params, data, None, plan, "ft")
 
 

@@ -14,6 +14,7 @@ from darl.errors import (
     NonFiniteValueError,
     SingularCovarianceError,
 )
+from darl import ood_select
 from darl.ood_select import (
     DEFAULT_RIDGE_SCALE,
     MIN_CALIBRATION_SAMPLES,
@@ -29,7 +30,6 @@ from darl.ood_select import (
     load_thresholds,
     mahalanobis_batch,
     save_thresholds,
-    score_pool,
     select_ood,
     write_score_report,
 )
@@ -76,6 +76,17 @@ def test_fit_gaussian_single_row():
     stats = fit_gaussian(np.array([[3.0, 4.0]]), ridge=1.0)
     np.testing.assert_allclose(stats.covariance, 0.0)
     assert mahalanobis_batch(stats, [3.0, 5.0])[0] == pytest.approx(1.0)
+
+
+def test_reference_sets_take_a_1d_array_as_one_row():
+    row = np.array([3.0, 4.0])
+    one = fit_gaussian(row, ridge=1.0)
+    two_d = fit_gaussian(row[None, :], ridge=1.0)
+    for field in ("mean", "covariance", "chol_lower"):
+        np.testing.assert_array_equal(getattr(one, field), getattr(two_d, field))
+    index = build_index(row)
+    assert (index.rows, index.dims) == (1, 2)
+    np.testing.assert_allclose(index.vectors, [[0.6, 0.8]])
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +147,17 @@ def test_mahalanobis_query_validation():
         mahalanobis_batch(stats, np.zeros((2, 4)))
     with pytest.raises(NonFiniteValueError):
         mahalanobis_batch(stats, np.array([[np.inf, 0.0, 0.0]]))
+
+
+def test_mahalanobis_overflow_raises_non_finite_value_error():
+    query = np.array([[1e308, 0.0]])
+    stats = GaussianStats(
+        mean=np.array([-1e308, 0.0]), covariance=np.eye(2), ridge=0.0, chol_lower=np.eye(2)
+    )
+    # the square of a finite row overflows; the centred row itself overflows
+    for fitted in (unit_stats(2), stats):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError, match="Mahalanobis"):
+            mahalanobis_batch(fitted, query)
 
 
 def three_array_mahalanobis(stats, x):
@@ -214,32 +236,32 @@ def test_knn_is_scale_invariant():
     np.testing.assert_allclose(knn_distance_batch(index, 7.5 * queries), base)
 
 
-def test_knn_chunking_is_invisible():
+def test_knn_chunking_is_invisible(monkeypatch):
     rng = np.random.default_rng(5)
     index = build_index(rng.standard_normal((50, 3)))
     # more rows than the default chunk, and 400 = 57 * 7 + 1 leaves a
     # one-row tail at chunk 7
     queries = rng.standard_normal((400, 3))
     base = knn_distance_batch(index, queries)
-    for chunk in (1, 7, 1024):
-        assert np.array_equal(knn_distance_batch(index, queries, chunk=chunk), base)
-    for chunk in (1, 7, 1024):
-        empty = knn_distance_batch(index, np.zeros((0, 3)), chunk=chunk)
-        assert empty.shape == (0,)
+    for chunk in (2, 7, 1024):
+        monkeypatch.setattr(ood_select, "KNN_CHUNK", chunk)
+        assert np.array_equal(knn_distance_batch(index, queries), base)
+        assert knn_distance_batch(index, np.zeros((0, 3))).shape == (0,)
 
 
-def test_knn_similarity_buffer_is_reused():
+def test_knn_similarity_buffer_is_reused(monkeypatch):
     """Peak memory grows with the query count only by query-sized arrays,
     not by a chunk x index-rows similarity matrix per chunk."""
     rng = np.random.default_rng(8)
     dims, chunk = 4, 64
+    monkeypatch.setattr(ood_select, "KNN_CHUNK", chunk)
     index = build_index(rng.standard_normal((4000, dims)))
 
     def peak(rows: int) -> int:
         queries = rng.standard_normal((rows, dims))
         tracemalloc.start()
         try:
-            knn_distance_batch(index, queries, chunk=chunk)
+            knn_distance_batch(index, queries)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,6 +285,8 @@ def test_build_index_rejects_zero_norm_row():
     data = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DataFormatError, match="idx-1"):
         build_index(data, ids=("idx-0", "idx-1"))
+    with pytest.raises(DataFormatError, match="row 1$"):
+        build_index(data)
 
 
 def test_knn_rejects_zero_norm_query():
@@ -400,12 +424,16 @@ def planted_pool(n_near=40, n_far=10, seed=8):
     return train, pool, np.arange(n_near, n_near + n_far)
 
 
+def row_ids(pool):
+    return tuple(f"p{i}" for i in range(pool.shape[0]))
+
+
 def test_select_strict_thresholds_are_empty():
     train, pool, _ = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
     # d2 = 2 can never be strictly exceeded; nothing selects
-    report = select_ood(pool, stats, index, OodThresholds(1e18, 2.0, "manual"))
+    report = select_ood(pool, stats, index, OodThresholds(1e18, 2.0, "manual"), row_ids(pool))
     assert report.selected.sum() == 0
     assert report.selected_indices.size == 0
 
@@ -414,7 +442,7 @@ def test_select_loose_thresholds_take_everything_far():
     train, pool, far_rows = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    report = select_ood(pool, stats, index, OodThresholds(1e-12, 0.0, "manual"))
+    report = select_ood(pool, stats, index, OodThresholds(1e-12, 0.0, "manual"), row_ids(pool))
     # rows at +40 sigma clear any near-zero threshold on both axes
     assert set(far_rows).issubset(set(report.selected_indices))
     np.testing.assert_array_equal(
@@ -427,7 +455,7 @@ def test_select_flags_compose_by_and():
     stats = fit_gaussian(train)
     index = build_index(train)
     thr = OodThresholds(3.0, 0.05, "manual")
-    report = select_ood(pool, stats, index, thr)
+    report = select_ood(pool, stats, index, thr, row_ids(pool))
     np.testing.assert_array_equal(report.mahal > thr.d1, report.flag_mahal)
     np.testing.assert_array_equal(report.knn > thr.d2, report.flag_knn)
     np.testing.assert_array_equal(
@@ -440,7 +468,7 @@ def test_select_is_row_order_independent():
     stats = fit_gaussian(train)
     index = build_index(train)
     thr = OodThresholds(3.0, 0.05, "manual")
-    ids = tuple(f"p{i}" for i in range(pool.shape[0]))
+    ids = row_ids(pool)
     perm = np.random.default_rng(9).permutation(pool.shape[0])
     direct = select_ood(pool, stats, index, thr, ids=ids)
     shuffled = select_ood(
@@ -455,17 +483,20 @@ def test_raising_thresholds_never_adds_rows():
     train, pool, _ = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    loose = select_ood(pool, stats, index, OodThresholds(2.0, 0.02, "manual"))
-    tight = select_ood(pool, stats, index, OodThresholds(4.0, 0.10, "manual"))
+    loose = select_ood(pool, stats, index, OodThresholds(2.0, 0.02, "manual"), row_ids(pool))
+    tight = select_ood(pool, stats, index, OodThresholds(4.0, 0.10, "manual"), row_ids(pool))
     assert set(tight.selected_indices).issubset(set(loose.selected_indices))
 
 
-def test_score_pool_dimension_check():
+def test_select_ood_dimension_check():
     train, pool, _ = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    with pytest.raises(DimensionMismatchError):
-        score_pool(pool[:, :2], stats, index)
+    thr = OodThresholds(3.0, 0.05, "manual")
+    with pytest.raises(DimensionMismatchError, match="query"):
+        select_ood(pool[:, :2], stats, index, thr, row_ids(pool))
+    with pytest.raises(DimensionMismatchError, match="dims disagree"):
+        select_ood(pool, stats, build_index(train[:, :2]), thr, row_ids(pool))
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +541,8 @@ def test_dasa_top_row_is_far_on_both_axes():
     train, pool, far_rows = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    _, mahal, knn = score_pool(pool, stats, index)
-    order = dasa_order(mahal, knn)
+    report = select_ood(pool, stats, index, OodThresholds(1.0, 0.0, "manual"), row_ids(pool))
+    order = dasa_order(report.mahal, report.knn)
     assert order[0] in set(far_rows)
 
 

@@ -1,4 +1,5 @@
-"""Seeded RNG derivation, order-statistic quantiles, hashing, and forked parallel calls."""
+"""Seeded RNG derivation, row checks and blocks, order-statistic quantiles, hashing,
+and forked parallel calls."""
 
 import hashlib
 import json
@@ -13,12 +14,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from darl import util
-from darl.errors import ConfigError, WorkerError
+from darl.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteValueError,
+    WorkerError,
+)
 from darl.util import (
     canonical_json,
     config_hash,
+    finite_rows,
     order_stat_quantile,
     parallel,
+    row_blocks,
     sha256_file,
     sub_rng,
 )
@@ -42,6 +50,48 @@ def test_sub_rng_accepts_int_tags():
     a = sub_rng(3, "split", 0).random(4)
     b = sub_rng(3, "split", 1).random(4)
     assert not np.array_equal(a, b)
+
+
+def test_finite_rows_makes_a_1d_array_one_row():
+    rows = finite_rows([1, 2, 3], 3, "query")
+    assert rows.shape == (1, 3) and rows.dtype == np.float64
+    assert finite_rows(np.ones(4), None, "query").shape == (1, 4)
+    assert finite_rows(np.ones((5, 2)), None, "query").shape == (5, 2)
+
+
+def test_finite_rows_names_the_input_in_its_errors():
+    with pytest.raises(DimensionMismatchError, match=r"^query has shape \(2, 4\)"):
+        finite_rows(np.zeros((2, 4)), 3, "query")
+    with pytest.raises(DimensionMismatchError, match="^query has shape"):
+        finite_rows(np.zeros((2, 2, 2)), None, "query")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteValueError, match="^non-finite model input value$"):
+            finite_rows(np.array([[0.0, bad]]), 2, "model input")
+
+
+def test_finite_rows_keeps_float32_only_when_asked():
+    x = np.ones((3, 2), dtype=np.float32)
+    assert finite_rows(x, 2, "rows").dtype == np.float64
+    kept = finite_rows(x, 2, "rows", widen=False)
+    assert kept.dtype == np.float32 and np.shares_memory(kept, x)
+    # other dtypes are promoted either way
+    assert finite_rows(np.ones((3, 2), dtype=np.int64), 2, "rows", widen=False).dtype == np.float64
+    assert finite_rows(np.ones((3, 2), dtype=np.float16), 2, "rows", widen=False).dtype == np.float64
+
+
+@given(n=st.integers(0, 400), width=st.integers(1, 300))
+@example(n=0, width=1)
+@example(n=57 * 7 + 1, width=7)  # a one-row remainder
+def test_row_blocks_cover_every_row_with_equal_blocks(n, width):
+    blocks = list(row_blocks(n, width))
+    if n == 0:
+        assert blocks == []
+        return
+    assert all(b.stop - b.start == min(width, n) for b in blocks)
+    assert sorted(set().union(*(range(n)[b] for b in blocks))) == list(range(n))
+    # back to back from row 0; only the last block may overlap its predecessor
+    assert [b.start for b in blocks[:-1]] == [i * width for i in range(len(blocks) - 1)]
+    assert blocks[-1].stop == n
 
 
 def test_order_stat_quantile_picks_kth_value():
