@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteValueError,
     TruncatedPayloadError,
 )
-from .util import order_stat_quantile, sub_rng
+from .util import BLOCK_ROWS, order_stat_quantile, row_blocks, sub_rng
 
 EMBEDDING_MAGIC = b"EMB1"
 LABEL_HEADER = "id\tgrade\torigin"
@@ -228,10 +228,15 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _sample_mixture(
-    centers: np.ndarray, n: int, rng: np.random.Generator
+    centers: np.ndarray, n: int, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
+    """``n`` rows of a random center plus standard normal noise, drawn into
+    ``out`` when given; the centers are added a block at a time."""
     picks = rng.integers(0, centers.shape[0], size=n)
-    return centers[picks] + rng.standard_normal((n, centers.shape[1]))
+    rows = rng.standard_normal((n, centers.shape[1]), out=out)
+    for start in range(0, n, BLOCK_ROWS):
+        rows[start : start + BLOCK_ROWS] += centers[picks[start : start + BLOCK_ROWS]]
+    return rows
 
 
 def _calibrate_rule(
@@ -351,35 +356,37 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     val_id = _labeled_split(bp, "val_id", config.val_size, "val")
     test_id = _labeled_split(bp, "test_id", config.test_size, "test")
 
-    n_ood = int(round(config.pool_size * config.pool_ood_fraction))
-    n_id = config.pool_size - n_ood
-    id_rows = _sample_mixture(bp.id_centers, n_id, sub_rng(config.seed, "rows", "pool_id"))
-    ood_rows = _sample_mixture(
-        bp.ood_centers, n_ood, sub_rng(config.seed, "rows", "pool_ood")
-    )
-    points = np.concatenate([id_rows, ood_rows], axis=0)
-    grades = np.concatenate(
-        [bp.id_rule.grade_of(id_rows), bp.ood_rule.grade_of(ood_rows)]
-    )
-    origin = np.concatenate(
-        [
-            np.zeros(n_id, dtype=np.int8),
-            np.full(n_ood, int(Origin.OOD), dtype=np.int8),
-        ]
-    )
-    perm = sub_rng(config.seed, "pool-shuffle").permutation(config.pool_size)
-    points, grades, origin = points[perm], grades[perm], origin[perm]
+    # both mixtures are drawn into one float64 array and graded in place, and
+    # the shuffled rows are cast a block at a time: no other pool-sized copy
+    n = config.pool_size
+    n_id = n - int(round(n * config.pool_ood_fraction))
+    points = np.empty((n, config.dims), dtype=np.float64)
+    grades = np.empty(n, dtype=np.int8)
+    origin = np.zeros(n, dtype=np.int8)
+    origin[n_id:] = int(Origin.OOD)
+    for part, centers, rule, tag in (
+        (slice(0, n_id), bp.id_centers, bp.id_rule, "pool_id"),
+        (slice(n_id, n), bp.ood_centers, bp.ood_rule, "pool_ood"),
+    ):
+        rng = sub_rng(config.seed, "rows", tag)
+        _sample_mixture(centers, part.stop - part.start, rng, points[part])
+        grades[part] = rule.grade_of(points[part])
+    perm = sub_rng(config.seed, "pool-shuffle").permutation(n)
+    shuffled = np.empty(points.shape, dtype=np.float32)
+    for part in row_blocks(n, BLOCK_ROWS):
+        shuffled[part] = points[perm[part]]
+    del points
     grades = _resample_noise(
-        grades, config.label_noise_rate, sub_rng(config.seed, "noise", "pool")
+        grades[perm], config.label_noise_rate, sub_rng(config.seed, "noise", "pool")
     )
-    ids = tuple(f"pool-{i:06d}" for i in range(config.pool_size))
-    pool = EmbeddingMatrix(points.astype(np.float32), ids)
+    ids = tuple(f"pool-{i:06d}" for i in range(n))
+    pool = EmbeddingMatrix(shuffled, ids)
 
     return SyntheticCorpus(
         train_id=train_id,
         val_id=val_id,
         test_id=test_id,
-        pool_truth=LabeledDataset(pool, grades, origin),
+        pool_truth=LabeledDataset(pool, grades, origin[perm]),
     )
 
 
@@ -430,13 +437,12 @@ def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
         np.repeat(np.cumsum(lengths) - lengths, 2),
         lengths.astype("<u2").view(np.uint8),
     )
-    Path(path).write_bytes(b"".join([
-        EMBEDDING_MAGIC,
-        struct.pack("<II", matrix.rows, matrix.dims),
-        np.ascontiguousarray(matrix.data, dtype="<f4").tobytes(),
-        struct.pack("<I", matrix.rows),
-        id_block.tobytes(),
-    ]))
+    # the payload goes out through the array's own buffer, not a bytes copy
+    with open(path, "wb") as f:
+        f.write(EMBEDDING_MAGIC + struct.pack("<II", matrix.rows, matrix.dims))
+        f.write(np.ascontiguousarray(matrix.data, dtype="<f4").data)
+        f.write(struct.pack("<I", matrix.rows))
+        f.write(id_block.data)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:

@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteValueError,
     SingularCovarianceError,
 )
-from .util import finite_rows, order_stat_quantile, row_blocks
+from .util import BLOCK_ROWS, finite_rows, order_stat_quantile, row_blocks
 
 DEFAULT_RIDGE_SCALE = 1e-4
 MIN_CALIBRATION_SAMPLES = 50
@@ -88,13 +88,17 @@ def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
     # so a process that scores no Mahalanobis distance never loads it
     from scipy.linalg import solve_triangular
 
-    # d^2 = ||L^-1 (x - mean)||^2 via one triangular solve, O(dims^2)/row;
-    # the centred block is a fresh array, so the solve and the square reuse it
-    solved = solve_triangular(
-        stats.chol_lower, (arr - stats.mean).T, lower=True, overwrite_b=True,
-        check_finite=False,
-    )
-    distances = np.sqrt(np.sum(np.square(solved, out=solved), axis=0))
+    # d^2 = ||L^-1 (x - mean)||^2 via one triangular solve per block of rows,
+    # O(dims^2)/row; each centred block is a fresh array, so the solve and
+    # the square reuse it.  A row's result is the same in any block of >= 2 rows
+    distances = np.empty(arr.shape[0], dtype=np.float64)
+    for part in row_blocks(arr.shape[0], BLOCK_ROWS):
+        solved = solve_triangular(
+            stats.chol_lower, (arr[part] - stats.mean).T, lower=True,
+            overwrite_b=True, check_finite=False,
+        )
+        np.sum(np.square(solved, out=solved), axis=0, out=distances[part])
+    np.sqrt(distances, out=distances)
     # finite rows can still overflow while centring, solving or squaring
     if not np.all(np.isfinite(distances)):
         raise NonFiniteValueError("non-finite Mahalanobis distance (a query overflows)")
@@ -138,23 +142,23 @@ def knn_distance_batch(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
     """Exact nearest-neighbor cosine distance per query row, in [0, 2].
 
     Brute force over every reference row, in ``util.row_blocks`` of
-    ``KNN_CHUNK`` queries.  One ``min(KNN_CHUNK, rows) x index.rows``
-    float64 similarity buffer is allocated per call and refilled for every
-    block, and each row's distance is bit-identical whatever the chunk size.
+    ``KNN_CHUNK`` queries, each normalized on its own.  One
+    ``min(KNN_CHUNK, rows) x index.rows`` float64 similarity buffer is
+    allocated per call and refilled for every block, and each row's distance
+    is bit-identical whatever the chunk size.
     """
     arr = finite_rows(x, index.dims, "query")
-    norms = np.linalg.norm(arr, axis=1)
-    bad = np.flatnonzero(norms < np.finfo(np.float64).tiny)
-    if bad.size:
-        raise DataFormatError(f"zero-norm query row {int(bad[0])}")
-    queries = arr / norms[:, None]
-    n = queries.shape[0]
+    n = arr.shape[0]
     out = np.empty(n, dtype=np.float64)
     sims = np.empty((min(KNN_CHUNK, n), index.rows), dtype=np.float64)
     for part in row_blocks(n, KNN_CHUNK):
-        np.matmul(queries[part], index.vectors.T, out=sims)
+        norms = np.linalg.norm(arr[part], axis=1)
+        bad = np.flatnonzero(norms < np.finfo(np.float64).tiny)
+        if bad.size:
+            raise DataFormatError(f"zero-norm query row {part.start + int(bad[0])}")
+        np.matmul(arr[part] / norms[:, None], index.vectors.T, out=sims)
         out[part] = 1.0 - sims.max(axis=1)
-    return np.clip(out, 0.0, 2.0)
+    return np.clip(out, 0.0, 2.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -335,6 +339,8 @@ def select_ood(
         raise DimensionMismatchError(
             f"dims disagree: gaussian {stats.dims}, index {index.dims}"
         )
+    # one distance after the other: interleaving them per block switches
+    # between scipy's and numpy's OpenBLAS thread pools and ran ~1.5x slower
     mahal = mahalanobis_batch(stats, pool_reps)
     knn = knn_distance_batch(index, pool_reps)
     flag_m = mahal > thresholds.d1
@@ -367,15 +373,12 @@ def dasa_order(mahal: np.ndarray, knn: np.ndarray) -> np.ndarray:
 
 
 def write_score_report(report: SelectionReport, path) -> None:
-    """TSV report, one row per pool row, distances to 6 significant digits."""
-    columns = zip(
-        report.ids,
-        report.mahal.tolist(),
-        report.knn.tolist(),
-        report.flag_mahal.tolist(),
-        report.flag_knn.tolist(),
-        report.selected.tolist(),
-    )
-    lines = ["id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected"]
-    lines += ["%s\t%.6g\t%.6g\t%d\t%d\t%d" % row for row in columns]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """TSV report, one row per pool row, distances to 6 significant digits,
+    formatted and written ``BLOCK_ROWS`` rows at a time."""
+    columns = (report.mahal, report.knn, report.flag_mahal, report.flag_knn, report.selected)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected\n")
+        for start in range(0, len(report.ids), BLOCK_ROWS):
+            part = slice(start, start + BLOCK_ROWS)
+            rows = zip(report.ids[part], *(column[part].tolist() for column in columns))
+            f.write("".join(["%s\t%.6g\t%.6g\t%d\t%d\t%d\n" % row for row in rows]))

@@ -34,7 +34,8 @@ def sub_rng(seed: int, *tags: str | int) -> np.random.Generator:
 
 
 def finite_rows(x, width: int | None, what: str, widen: bool = True) -> np.ndarray:
-    """``x`` as finite 2-D rows of ``width`` columns (any width if ``None``).
+    """``x`` as finite 2-D rows of ``width`` columns (any positive width if
+    ``None``).
 
     A 1-D array is one row.  Rows are float64; float32 rows stay float32
     when ``widen`` is off.  Both errors name ``what``.
@@ -44,13 +45,16 @@ def finite_rows(x, width: int | None, what: str, widen: bool = True) -> np.ndarr
         rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[None, :]
-    if rows.ndim != 2 or width not in (None, rows.shape[1]):
+    if rows.ndim != 2 or width not in (None, rows.shape[1]) or not rows.shape[1]:
         raise DimensionMismatchError(
-            f"{what} has shape {np.shape(x)}, expected (n, {width or 'dims'})"
+            f"{what} has shape {np.shape(x)}, expected (n, {width or 'dims >= 1'})"
         )
     if not np.all(np.isfinite(rows)):
         raise NonFiniteValueError(f"non-finite {what} value")
     return rows
+
+
+BLOCK_ROWS = 4096  # rows per block where a pool-sized step works in blocks
 
 
 def row_blocks(n: int, width: int) -> Iterator[slice]:

@@ -1,5 +1,7 @@
 """Shared fixtures: small corpora and architectures sized for fast tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -66,3 +68,13 @@ def make_dataset(n: int, dims: int, seed: int, prefix: str = "row") -> LabeledDa
     origin = rng.integers(0, 2, size=n).astype(np.int8)
     ids = tuple(f"{prefix}-{i:04d}" for i in range(n))
     return LabeledDataset(EmbeddingMatrix(data, ids), grades, origin)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,14 +1,16 @@
 """Data model, synthetic corpus generation, and file formats."""
 
+import dataclasses
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import TINY_CONFIG, make_dataset
+from conftest import TINY_CONFIG, make_dataset, traced_peak
 from darl import dataset
 from darl.dataset import (
     EMBEDDING_MAGIC,
@@ -37,6 +39,7 @@ from darl.errors import (
     NonFiniteValueError,
     TruncatedPayloadError,
 )
+from darl.util import BLOCK_ROWS, sub_rng
 
 # ---------------------------------------------------------------------------
 # enums
@@ -227,6 +230,59 @@ def test_label_noise_changes_expected_fraction():
     assert 0.3 / 3 < changed < 0.3
 
 
+def whole_array_pool(config):
+    """Reference pool: both mixtures, their concatenation, its permuted copy
+    and that copy cast to float32, each a whole array."""
+    bp = dataset._blueprint(config)
+    n_ood = int(round(config.pool_size * config.pool_ood_fraction))
+    n_id = config.pool_size - n_ood
+
+    def mixture(centers, n, tag):
+        rng = sub_rng(config.seed, "rows", tag)
+        picks = rng.integers(0, centers.shape[0], size=n)
+        return centers[picks] + rng.standard_normal((n, centers.shape[1]))
+
+    id_rows = mixture(bp.id_centers, n_id, "pool_id")
+    ood_rows = mixture(bp.ood_centers, n_ood, "pool_ood")
+    points = np.concatenate([id_rows, ood_rows], axis=0)
+    grades = np.concatenate([bp.id_rule.grade_of(id_rows), bp.ood_rule.grade_of(ood_rows)])
+    origin = np.concatenate([np.zeros(n_id, np.int8), np.ones(n_ood, np.int8)])
+    perm = sub_rng(config.seed, "pool-shuffle").permutation(config.pool_size)
+    grades = dataset._resample_noise(
+        grades[perm], config.label_noise_rate, sub_rng(config.seed, "noise", "pool")
+    )
+    train = mixture(bp.id_centers, config.train_size, "train_id").astype(np.float32)
+    return points[perm].astype(np.float32), grades, origin[perm], train
+
+
+@pytest.mark.parametrize(
+    "changes", [{}, {"pool_ood_fraction": 0.0}, {"ood_shift_norm": 0.0}]
+)
+def test_pool_matches_the_whole_array_formula(changes):
+    config = dataclasses.replace(
+        TINY_CONFIG, pool_size=2 * BLOCK_ROWS + 1, train_size=BLOCK_ROWS + 3, **changes
+    )
+    corpus = generate_synthetic(config)
+    points, grades, origin, train = whole_array_pool(config)
+    pool = corpus.pool_truth
+    assert pool.embeddings.data.tobytes() == points.tobytes()
+    assert pool.grades.tobytes() == grades.tobytes()
+    assert pool.origin.tobytes() == origin.tobytes()
+    assert corpus.train_id.embeddings.data.tobytes() == train.tobytes()
+
+
+def test_pool_generation_holds_one_float64_pool():
+    config = dataclasses.replace(TINY_CONFIG, dims=32, pool_size=40_000)
+    dataset._blueprint(config)  # build the blueprint untraced
+    n, dims = config.pool_size, config.dims
+    ids = sys.getsizeof(tuple(range(n))) + sum(
+        sys.getsizeof(f"pool-{i:06d}") for i in range(n)
+    )
+    # the float64 and float32 pools plus the ids; the whole-array formula
+    # holds three float64 pools at once
+    assert traced_peak(generate_synthetic, config) <= n * dims * (8 + 4) + ids + (1 << 20)
+
+
 def test_planted_rule_grade_oracle():
     rule = PlantedRule(w=np.array([1.0, 0.0]), mu=0.5, tau=1.0)
     points = np.array([[2.0, 9.0], [0.5, -1.0], [-1.0, 3.0]])
@@ -284,6 +340,24 @@ def test_embeddings_write_is_byte_stable(tmp_path):
     write_embeddings(m, p1)
     write_embeddings(m, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_embeddings_matches_one_joined_blob(tmp_path):
+    rng = np.random.default_rng(12)
+    path = tmp_path / "m.emb"
+    for rows in (0, 2 * BLOCK_ROWS + 1):
+        ids = tuple(f"r{i}" for i in range(rows))
+        m = EmbeddingMatrix(rng.standard_normal((rows, 3)), ids)
+        write_embeddings(m, path)
+        # the whole-file formula: every part as bytes, joined once
+        raws = [rid.encode("utf-8") for rid in ids]
+        assert path.read_bytes() == b"".join([
+            EMBEDDING_MAGIC,
+            struct.pack("<II", rows, 3),
+            m.data.astype("<f4").tobytes(),
+            struct.pack("<I", rows),
+            *(struct.pack("<H", len(raw)) + raw for raw in raws),
+        ])
 
 
 def test_embeddings_payload_layout(tmp_path):

@@ -1,12 +1,11 @@
 """Distance scoring, threshold calibration, and pool selection."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from darl.errors import (
     ConfigError,
     DataFormatError,
@@ -33,6 +32,7 @@ from darl.ood_select import (
     select_ood,
     write_score_report,
 )
+from darl.util import BLOCK_ROWS
 
 # ---------------------------------------------------------------------------
 # gaussian fitting
@@ -172,7 +172,7 @@ def three_array_mahalanobis(stats, x):
 def test_mahalanobis_in_place_solve_matches_three_array_formula():
     rng = np.random.default_rng(9)
     stats = fit_gaussian(rng.standard_normal((300, 6)) @ rng.standard_normal((6, 6)))
-    for rows in (1, 2, 3, 4097):
+    for rows in (1, 2, 3, 4097, 2 * BLOCK_ROWS + 1):
         queries = 3.0 * rng.standard_normal((rows, 6))
         kept = queries.copy()
         for x in (queries, queries.astype(np.float32), np.asfortranarray(queries)):
@@ -186,19 +186,18 @@ def test_mahalanobis_in_place_solve_matches_three_array_formula():
 
 
 def test_mahalanobis_holds_one_centred_block():
+    """Past one block, peak memory grows per query row only by the
+    finiteness mask and the per-row results, never by a centred copy."""
     rng = np.random.default_rng(10)
-    stats = fit_gaussian(rng.standard_normal((200, 32)))
-    queries = rng.standard_normal((100_000, 32))
-    mahalanobis_batch(stats, queries[:2])  # import scipy.linalg untraced
-    tracemalloc.start()
-    try:
-        mahalanobis_batch(stats, queries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the centred float64 block, plus slack for the finiteness masks and the
-    # per-row results; the three-array formula peaks at three blocks
-    assert peak <= 1.25 * queries.nbytes
+    dims = 32
+    stats = fit_gaussian(rng.standard_normal((200, dims)))
+    small, large = (rng.standard_normal((rows, dims)) for rows in (BLOCK_ROWS, 100_000))
+    mahalanobis_batch(stats, small[:2])  # import scipy.linalg untraced
+    growth = traced_peak(mahalanobis_batch, stats, large) - traced_peak(
+        mahalanobis_batch, stats, small
+    )
+    # the whole-array solve grows by 8 * dims bytes per row
+    assert growth <= (len(large) - len(small)) * (dims + 16)
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +257,12 @@ def test_knn_similarity_buffer_is_reused(monkeypatch):
     index = build_index(rng.standard_normal((4000, dims)))
 
     def peak(rows: int) -> int:
-        queries = rng.standard_normal((rows, dims))
-        tracemalloc.start()
-        try:
-            knn_distance_batch(index, queries)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(knn_distance_batch, index, rng.standard_normal((rows, dims)))
 
     small, large = chunk, 16 * chunk
-    # generous: a few float64 copies of the queries plus a few per-row vectors
-    query_bytes = (large - small) * (4 * dims + 4) * 8
+    # the finiteness mask and the per-row results; a normalized copy of the
+    # queries would add 8 * dims bytes per row
+    query_bytes = (large - small) * (dims + 16)
     similarity_block = chunk * index.rows * 8
     assert query_bytes < similarity_block / 2
     assert peak(large) - peak(small) <= query_bytes
@@ -289,10 +283,22 @@ def test_build_index_rejects_zero_norm_row():
         build_index(data)
 
 
-def test_knn_rejects_zero_norm_query():
+def test_knn_rejects_zero_norm_query(monkeypatch):
     index = build_index(np.array([[1.0, 0.0]]))
     with pytest.raises(DataFormatError):
         knn_distance_batch(index, np.zeros((1, 2)))
+    # each chunk checks its own rows, and the error names the row in the call
+    monkeypatch.setattr(ood_select, "KNN_CHUNK", 7)
+    queries = np.random.default_rng(13).standard_normal((1000, 2))
+    queries[500] = 0.0
+    with pytest.raises(DataFormatError, match="row 500$"):
+        knn_distance_batch(index, queries)
+
+
+@pytest.mark.parametrize("fit", [fit_gaussian, build_index])
+def test_reference_sets_reject_zero_columns(fit):
+    with pytest.raises(DimensionMismatchError, match="^representation has shape"):
+        fit(np.zeros((5, 0)))
 
 
 def test_build_index_accepts_duplicate_rows():
@@ -567,6 +573,24 @@ def test_score_report_round_trip(tmp_path):
     np.testing.assert_allclose(back[:, 1], report.knn, rtol=1e-5)
     np.testing.assert_array_equal(back[:, 4].astype(bool), report.selected)
     np.testing.assert_array_equal(back[:, 2].astype(bool), report.flag_mahal)
+
+
+def test_score_report_matches_one_joined_text(tmp_path):
+    rng = np.random.default_rng(14)
+    path = tmp_path / "scores.tsv"
+    for rows in (0, 2 * BLOCK_ROWS + 1):
+        mahal, knn = 10.0 * rng.exponential(size=rows), rng.uniform(0.0, 2.0, rows)
+        flag_m, flag_k = mahal > 10.0, knn > 1.0
+        report = SelectionReport(
+            tuple(f"pool-{i:06d}" for i in range(rows)), mahal, knn, flag_m, flag_k, flag_m & flag_k
+        )
+        write_score_report(report, path)
+        # the whole-report formula: every line in one list, joined once
+        columns = zip(report.ids, mahal.tolist(), knn.tolist(), flag_m.tolist(),
+                      flag_k.tolist(), (flag_m & flag_k).tolist())
+        lines = ["id\td_mahal\td_knn\tflag_mahal\tflag_knn\tselected"]
+        lines += ["%s\t%.6g\t%.6g\t%d\t%d\t%d" % row for row in columns]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_score_report_bytes(tmp_path):

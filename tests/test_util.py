@@ -64,6 +64,8 @@ def test_finite_rows_names_the_input_in_its_errors():
         finite_rows(np.zeros((2, 4)), 3, "query")
     with pytest.raises(DimensionMismatchError, match="^query has shape"):
         finite_rows(np.zeros((2, 2, 2)), None, "query")
+    with pytest.raises(DimensionMismatchError, match=r"^query has shape \(5, 0\)"):
+        finite_rows(np.zeros((5, 0)), None, "query")
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonFiniteValueError, match="^non-finite model input value$"):
             finite_rows(np.array([[0.0, bad]]), 2, "model input")
