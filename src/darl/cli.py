@@ -47,6 +47,7 @@ from .harness import (
     DEFAULT_BUDGETS,
     TREND_SEEDS,
     ExperimentConfig,
+    alpha_sweep,
     budget_sweep,
     calibrate,
     evaluate_model,
@@ -57,15 +58,10 @@ from .harness import (
     split_pool,
     table_header,
     write_ablation_tables,
+    write_alpha_table,
     write_budget_table,
 )
-from .lpft import (
-    alpha_sweep,
-    full_finetune,
-    linear_probe,
-    pretrain_backbone,
-    write_alpha_table,
-)
+from .lpft import full_finetune, linear_probe, pretrain_backbone
 from .metrics import score_histogram, write_histogram
 from .model import (
     interpolate,

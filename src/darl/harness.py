@@ -1,4 +1,5 @@
-"""Experiment harness: ladder, budget sweep, and calibration-effect runs.
+"""Experiment harness: grading, blend sweep, ladder, budget sweep, and
+calibration-effect runs.
 
 One ``ExperimentConfig`` fixes everything a seed run needs; ``prepare`` does
 the shared work (corpus, pretrained backbone, selector calibration, pool
@@ -14,6 +15,9 @@ The selection stages (``split_pool``, ``fit_space``, ``calibrate``,
 ``select_rows``) are pure in-memory functions that the CLI shares: each
 subcommand loads its inputs from the run directory, calls one stage, and
 saves what it returns, while ``prepare`` chains them in memory.
+
+``evaluate_model`` is the one grading rule, and every results row is an
+``EvalPair`` plus its key fields.
 """
 
 from __future__ import annotations
@@ -37,9 +41,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataFormatError
 from .lpft import (
-    AlphaSweepResult,
     StagePlan,
-    alpha_sweep,
     full_finetune,
     linear_probe,
     pretrain_backbone,
@@ -235,7 +237,8 @@ def prepare(config: ExperimentConfig, seed: int) -> PreparedCorpus:
 
 @dataclass(frozen=True)
 class EvalPair:
-    """ID and shifted-set metrics for one model under one threshold fit."""
+    """ID and shifted-set metrics for one model under one threshold fit; the
+    graded record every results row extends with its key fields."""
 
     id_metrics: Metrics
     ood_metrics: Metrics
@@ -247,6 +250,18 @@ class EvalPair:
     @property
     def f1_ood(self) -> float:
         return self.ood_metrics.macro_f1
+
+    @property
+    def acc_id(self) -> float:
+        return self.id_metrics.accuracy
+
+    @property
+    def acc_ood(self) -> float:
+        return self.ood_metrics.accuracy
+
+    @property
+    def combined(self) -> float:
+        return 0.5 * (self.f1_id + self.f1_ood)
 
 
 def evaluate_model(
@@ -265,6 +280,61 @@ def evaluate_model(
         predict_scores(model, test_ood.embeddings.data), test_ood.grades, thresholds
     )
     return EvalPair(id_metrics=id_metrics, ood_metrics=ood_metrics)
+
+
+@dataclass(frozen=True)
+class AlphaRow(EvalPair):
+    alpha: float
+
+
+@dataclass(frozen=True)
+class AlphaSweepResult:
+    rows: tuple[AlphaRow, ...]
+    best_alpha: float
+
+    @property
+    def best_row(self) -> AlphaRow:
+        for row in self.rows:
+            if row.alpha == self.best_alpha:
+                return row
+        raise KeyError(self.best_alpha)
+
+
+def alpha_sweep(
+    phi_lp: ModelParams,
+    phi_ft: ModelParams,
+    grid,
+    val_id: LabeledDataset,
+    val_ood: LabeledDataset,
+) -> AlphaSweepResult:
+    """Grade every blend coefficient on both validation sets.
+
+    Each blend is graded by ``evaluate_model`` with the ID validation set as
+    its own test set.  The best coefficient maximizes the mean of the two
+    macro F1 scores; ties go to the smaller coefficient.
+    """
+    grid = tuple(float(a) for a in grid)
+    if not grid:
+        raise ConfigError("alpha_grid", "must be nonempty")
+    if val_id.embeddings.rows == 0 or val_ood.embeddings.rows == 0:
+        raise DataFormatError("alpha sweep needs nonempty validation sets")
+    rows = []
+    for alpha in grid:
+        pair = evaluate_model(interpolate(phi_lp, phi_ft, alpha), val_id, val_id, val_ood)
+        rows.append(AlphaRow(**vars(pair), alpha=alpha))
+    best = max(rows, key=lambda r: (r.combined, -r.alpha))
+    return AlphaSweepResult(rows=tuple(rows), best_alpha=best.alpha)
+
+
+def write_alpha_table(result: AlphaSweepResult, path, meta: str) -> None:
+    """Sweep table as TSV with 4-decimal metrics under a ``# meta`` line."""
+    lines = [f"# {meta}", "alpha\tf1_id\tf1_ood\tacc_id\tacc_ood"]
+    for row in result.rows:
+        lines.append(
+            f"{row.alpha:g}\t{row.f1_id:.4f}\t{row.f1_ood:.4f}\t"
+            f"{row.acc_id:.4f}\t{row.acc_ood:.4f}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @lru_cache(maxsize=8)
@@ -303,13 +373,9 @@ def ladder_models(
 
 
 @dataclass(frozen=True)
-class AblationRow:
+class AblationRow(EvalPair):
     rung: int
     label: str
-    f1_id: float
-    f1_ood: float
-    acc_id: float
-    acc_ood: float
 
 
 @dataclass(frozen=True)
@@ -328,52 +394,43 @@ def run_ablation(config: ExperimentConfig, seed: int) -> AblationTable:
         pair = evaluate_model(
             model, prep.corpus.val_id, prep.corpus.test_id, prep.test_ood
         )
-        rows.append(
-            AblationRow(
-                rung=rung,
-                label=label,
-                f1_id=pair.f1_id,
-                f1_ood=pair.f1_ood,
-                acc_id=pair.id_metrics.accuracy,
-                acc_ood=pair.ood_metrics.accuracy,
-            )
-        )
+        rows.append(AblationRow(**vars(pair), rung=rung, label=label))
     return AblationTable(seed=seed, rows=tuple(rows), best_alpha=sweep.best_alpha)
 
 
-def write_ablation_tables(
-    tables, path, config: ExperimentConfig
-) -> None:
-    """Long-format ladder TSV: per-seed rows followed by mean rows."""
-    tables = list(tables)
-    seeds = [t.seed for t in tables]
-    lines = [f"# {table_header(config, seeds)}"]
-    lines.append("seed\trung\tlabel\tf1_id\tf1_ood\tacc_id\tacc_ood")
-    for t in tables:
-        for r in t.rows:
-            lines.append(
-                f"{t.seed}\t{r.rung}\t{r.label}\t{r.f1_id:.4f}\t{r.f1_ood:.4f}"
-                f"\t{r.acc_id:.4f}\t{r.acc_ood:.4f}"
-            )
-    for rung in range(len(LADDER_LABELS)):
-        rows = [t.rows[rung] for t in tables]
-        lines.append(
-            f"mean\t{rung + 1}\t{rows[0].label}"
-            f"\t{np.mean([r.f1_id for r in rows]):.4f}"
-            f"\t{np.mean([r.f1_ood for r in rows]):.4f}"
-            f"\t{np.mean([r.acc_id for r in rows]):.4f}"
-            f"\t{np.mean([r.acc_ood for r in rows]):.4f}"
-        )
+def _write_seed_table(path, config: ExperimentConfig, by_seed, columns, keys, scores) -> None:
+    """Long-format TSV: each seed's rows, then one mean row per row position.
+
+    ``by_seed`` lists (seed, rows) in table order.  ``keys`` formats the key
+    ``columns`` from a group of rows: one row, or the rows at one position
+    across seeds.  Each of the ``scores`` is a 4-decimal mean over the group.
+    """
+
+    def line(lead: str, group) -> str:
+        means = (np.mean([getattr(r, name) for r in group]) for name in scores)
+        return "\t".join([lead, keys(group), *(f"{m:.4f}" for m in means)])
+
+    lines = [f"# {table_header(config, [seed for seed, _ in by_seed])}"]
+    lines.append("\t".join(["seed", *columns, *scores]))
+    lines += [line(str(seed), (r,)) for seed, rows in by_seed for r in rows]
+    lines += [line("mean", group) for group in zip(*(rows for _, rows in by_seed))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_ablation_tables(tables, path, config: ExperimentConfig) -> None:
+    """Long-format ladder TSV: per-seed rows followed by mean rows."""
+    _write_seed_table(
+        path, config, [(t.seed, t.rows) for t in tables],
+        ("rung", "label"), lambda g: f"{g[0].rung}\t{g[0].label}",
+        ("f1_id", "f1_ood", "acc_id", "acc_ood"),
+    )
+
+
 @dataclass(frozen=True)
-class BudgetRow:
+class BudgetRow(EvalPair):
     budget: float
     strategy: str
     n_aug: int
-    f1_id: float
-    f1_ood: float
 
 
 def budget_sweep(
@@ -413,11 +470,7 @@ def budget_sweep(
             model, prep.corpus.val_id, prep.corpus.test_id, prep.test_ood
         )
         return BudgetRow(
-            budget=budget,
-            strategy=strategy,
-            n_aug=int(picked.size),
-            f1_id=pair.f1_id,
-            f1_ood=pair.f1_ood,
+            **vars(pair), budget=budget, strategy=strategy, n_aug=int(picked.size)
         )
 
     tasks = []
@@ -430,25 +483,12 @@ def budget_sweep(
 
 def write_budget_table(rows_by_seed: dict, path, config: ExperimentConfig) -> None:
     """Long-format sweep TSV: per-seed rows followed by mean rows."""
-    seeds = sorted(rows_by_seed)
-    lines = [f"# {table_header(config, seeds)}"]
-    lines.append("seed\tbudget\tstrategy\tn_aug\tf1_id\tf1_ood")
-    for seed in seeds:
-        for r in rows_by_seed[seed]:
-            lines.append(
-                f"{seed}\t{r.budget:g}\t{r.strategy}\t{r.n_aug}"
-                f"\t{r.f1_id:.4f}\t{r.f1_ood:.4f}"
-            )
-    first = rows_by_seed[seeds[0]]
-    for i, template in enumerate(first):
-        group = [rows_by_seed[s][i] for s in seeds]
-        lines.append(
-            f"mean\t{template.budget:g}\t{template.strategy}"
-            f"\t{int(np.mean([r.n_aug for r in group]))}"
-            f"\t{np.mean([r.f1_id for r in group]):.4f}"
-            f"\t{np.mean([r.f1_ood for r in group]):.4f}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_seed_table(
+        path, config, [(seed, rows_by_seed[seed]) for seed in sorted(rows_by_seed)],
+        ("budget", "strategy", "n_aug"),
+        lambda g: f"{g[0].budget:g}\t{g[0].strategy}\t{int(np.mean([r.n_aug for r in g]))}",
+        ("f1_id", "f1_ood"),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,19 @@
-"""Staged training: backbone pretraining, linear probe, fine-tune, blend.
+"""Staged training: backbone pretraining, linear probe, fine-tune.
 
 The probe trains only the head on top of frozen pretrained features; the
 fine-tune stage unlocks everything from that warm start; the deployed model
-is a linear blend of the two checkpoints.  A sweep over the blend
-coefficient picks the best trade-off on validation data.
+is a linear blend of the two checkpoints, whose coefficient the harness's
+blend sweep picks on validation data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import CheckpointError, ConfigError, DataFormatError
-from .metrics import compute_metrics, fit_grade_thresholds
 from .model import (
     CalibrationPrior,
     LossValues,
@@ -25,8 +23,6 @@ from .model import (
     adam_step,
     init_model,
     init_opt,
-    interpolate,
-    predict_scores,
 )
 from .util import sub_rng
 
@@ -183,80 +179,3 @@ def full_finetune(
 ) -> tuple[ModelParams, list[LossValues]]:
     """All-parameter training warm-started at the probe checkpoint."""
     return run_training(phi_lp, d_aug, prior, plan, "ft")
-
-
-@dataclass(frozen=True)
-class AlphaRow:
-    alpha: float
-    f1_id: float
-    f1_ood: float
-    acc_id: float
-    acc_ood: float
-
-    @property
-    def combined(self) -> float:
-        return 0.5 * (self.f1_id + self.f1_ood)
-
-
-@dataclass(frozen=True)
-class AlphaSweepResult:
-    rows: tuple[AlphaRow, ...]
-    best_alpha: float
-
-    @property
-    def best_row(self) -> AlphaRow:
-        for row in self.rows:
-            if row.alpha == self.best_alpha:
-                return row
-        raise KeyError(self.best_alpha)
-
-
-def alpha_sweep(
-    phi_lp: ModelParams,
-    phi_ft: ModelParams,
-    grid,
-    val_id: LabeledDataset,
-    val_ood: LabeledDataset,
-) -> AlphaSweepResult:
-    """Evaluate every blend coefficient on both validation sets.
-
-    Grade thresholds are refit on the in-distribution validation scores at
-    each grid point and applied unchanged to the shifted set.  The best
-    coefficient maximizes the mean of the two macro F1 scores; ties go to
-    the smaller coefficient.
-    """
-    grid = tuple(float(a) for a in grid)
-    if not grid:
-        raise ConfigError("alpha_grid", "must be nonempty")
-    if val_id.embeddings.rows == 0 or val_ood.embeddings.rows == 0:
-        raise DataFormatError("alpha sweep needs nonempty validation sets")
-    rows = []
-    for alpha in grid:
-        params = interpolate(phi_lp, phi_ft, alpha)
-        scores_id = predict_scores(params, val_id.embeddings.data)
-        thresholds = fit_grade_thresholds(scores_id, val_id.grades)
-        m_id = compute_metrics(scores_id, val_id.grades, thresholds)
-        scores_ood = predict_scores(params, val_ood.embeddings.data)
-        m_ood = compute_metrics(scores_ood, val_ood.grades, thresholds)
-        rows.append(
-            AlphaRow(
-                alpha=alpha,
-                f1_id=m_id.macro_f1,
-                f1_ood=m_ood.macro_f1,
-                acc_id=m_id.accuracy,
-                acc_ood=m_ood.accuracy,
-            )
-        )
-    best = max(rows, key=lambda r: (r.combined, -r.alpha))
-    return AlphaSweepResult(rows=tuple(rows), best_alpha=best.alpha)
-
-
-def write_alpha_table(result: AlphaSweepResult, path, meta: str) -> None:
-    """Sweep table as TSV with 4-decimal metrics under a ``# meta`` line."""
-    lines = [f"# {meta}", "alpha\tf1_id\tf1_ood\tacc_id\tacc_ood"]
-    for row in result.rows:
-        lines.append(
-            f"{row.alpha:g}\t{row.f1_id:.4f}\t{row.f1_ood:.4f}\t"
-            f"{row.acc_id:.4f}\t{row.acc_ood:.4f}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

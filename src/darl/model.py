@@ -29,13 +29,14 @@ from .errors import (
     NonFiniteValueError,
     TruncatedPayloadError,
 )
-from .util import canonical_json, finite_rows, row_blocks, sub_rng
+from .util import BLOCK_ROWS, canonical_json, finite_rows, row_blocks, sub_rng
 
 CHECKPOINT_MAGIC = b"DARL"
 CHECKPOINT_VERSION = 1
 
-_ACTIVATION_TAGS = {"tanh": 1}
-_TAG_ACTIVATIONS = {tag: name for name, tag in _ACTIVATION_TAGS.items()}
+# every hidden layer is tanh; checkpoints record it as activation tag 1
+ACTIVATION = "tanh"
+_ACTIVATION_TAG = 1
 
 TRAINABLE_CHOICES = ("head", "backbone", "all")
 
@@ -51,11 +52,10 @@ _EPS = 1e-8
 
 @dataclass(frozen=True)
 class ModelArch:
-    """Shape of the scorer: input width, hidden widths, activation."""
+    """Shape of the scorer: input width and hidden widths."""
 
     input_dims: int = 32
     hidden: tuple[int, ...] = (64, 32)
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
@@ -65,12 +65,6 @@ class ModelArch:
             raise ConfigError("hidden", "needs at least one hidden layer")
         if any(w <= 0 for w in self.hidden):
             raise ConfigError("hidden", "all hidden widths must be positive")
-        if self.activation not in _ACTIVATION_TAGS:
-            raise ConfigError(
-                "activation",
-                f"unsupported activation {self.activation!r}; choose from "
-                f"{sorted(_ACTIVATION_TAGS)}",
-            )
 
     @property
     def rep_dims(self) -> int:
@@ -99,7 +93,7 @@ class ModelArch:
 
     def descriptor(self) -> dict:
         return {
-            "activation": self.activation,
+            "activation": ACTIVATION,
             "hidden": list(self.hidden),
             "input_dims": self.input_dims,
         }
@@ -211,7 +205,7 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
     return ForwardResult(probs=_sigmoid(logits), logits=logits, reps=reps)
 
 
-def representations(params: ModelParams, x: np.ndarray, block: int = 4096) -> np.ndarray:
+def representations(params: ModelParams, x: np.ndarray, block: int = BLOCK_ROWS) -> np.ndarray:
     """Penultimate-layer activations, the space used for OOD scoring.
 
     Only the hidden layers run, in ``util.row_blocks`` of ``block`` rows, so
@@ -459,7 +453,7 @@ def interpolate(phi_lp: ModelParams, phi_ft: ModelParams, alpha: float) -> Model
 def _arch_blob(arch: ModelArch) -> bytes:
     parts = [struct.pack("<II", arch.input_dims, len(arch.hidden))]
     parts.append(struct.pack(f"<{len(arch.hidden)}I", *arch.hidden))
-    parts.append(struct.pack("<B", _ACTIVATION_TAGS[arch.activation]))
+    parts.append(struct.pack("<B", _ACTIVATION_TAG))
     parts.append(bytes.fromhex(arch.fingerprint()))
     return b"".join(parts)
 
@@ -503,12 +497,12 @@ def load_checkpoint(path) -> ModelParams:
     offset = 16 + 4 * n_hidden
     (act_tag,) = struct.unpack_from("<B", blob, offset)
     offset += 1
-    if act_tag not in _TAG_ACTIVATIONS:
+    if act_tag != _ACTIVATION_TAG:
         raise CheckpointError(f"unknown activation tag {act_tag}")
     stored_print = blob[offset : offset + 32].hex()
     offset += 32
     try:
-        arch = ModelArch(input_dims, tuple(hidden), _TAG_ACTIVATIONS[act_tag])
+        arch = ModelArch(input_dims, tuple(hidden))
     except ConfigError as exc:
         raise CheckpointError(f"invalid checkpoint architecture: {exc}") from exc
     if stored_print != arch.fingerprint():

@@ -13,6 +13,7 @@ from darl.dataset import (
     generate_synthetic,
 )
 from darl.lpft import StagePlan
+from darl.metrics import Metrics
 from darl.model import ModelArch
 
 settings.register_profile(
@@ -78,3 +79,11 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def graded(f1_id: float, f1_ood: float, acc_id: float = 0.0, acc_ood: float = 0.0) -> dict:
+    """The two ``Metrics`` fields of a hand-built results row."""
+    return {
+        "id_metrics": Metrics(macro_f1=f1_id, accuracy=acc_id, per_grade={}, n=0),
+        "ood_metrics": Metrics(macro_f1=f1_ood, accuracy=acc_ood, per_grade={}, n=0),
+    }

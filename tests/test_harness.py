@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import TINY_CONFIG, TINY_PLAN
+from conftest import TINY_CONFIG, TINY_PLAN, graded
 
 from darl import harness, util
 from darl.dataset import Origin, SyntheticConfig, generate_synthetic
@@ -287,14 +287,12 @@ def test_occ_effect_reports_bounded_statistics():
 def hand_tables():
     rows_a = tuple(
         AblationRow(rung=i + 1, label=LADDER_LABELS[i],
-                    f1_id=0.8 + 0.01 * i, f1_ood=0.5 + 0.02 * i,
-                    acc_id=0.85, acc_ood=0.6)
+                    **graded(0.8 + 0.01 * i, 0.5 + 0.02 * i, 0.85, 0.6))
         for i in range(4)
     )
     rows_b = tuple(
         AblationRow(rung=i + 1, label=LADDER_LABELS[i],
-                    f1_id=0.82 + 0.01 * i, f1_ood=0.54 + 0.02 * i,
-                    acc_id=0.87, acc_ood=0.62)
+                    **graded(0.82 + 0.01 * i, 0.54 + 0.02 * i, 0.87, 0.62))
         for i in range(4)
     )
     return (
@@ -328,12 +326,12 @@ def test_write_ablation_tables_is_deterministic(tmp_path):
 def test_write_budget_table_layout(tmp_path):
     rows_by_seed = {
         11: (
-            BudgetRow(budget=0.5, strategy="dasa", n_aug=100, f1_id=0.8, f1_ood=0.6),
-            BudgetRow(budget=0.5, strategy="random", n_aug=100, f1_id=0.79, f1_ood=0.55),
+            BudgetRow(budget=0.5, strategy="dasa", n_aug=100, **graded(0.8, 0.6)),
+            BudgetRow(budget=0.5, strategy="random", n_aug=100, **graded(0.79, 0.55)),
         ),
         12: (
-            BudgetRow(budget=0.5, strategy="dasa", n_aug=110, f1_id=0.82, f1_ood=0.62),
-            BudgetRow(budget=0.5, strategy="random", n_aug=110, f1_id=0.81, f1_ood=0.57),
+            BudgetRow(budget=0.5, strategy="dasa", n_aug=110, **graded(0.82, 0.62)),
+            BudgetRow(budget=0.5, strategy="random", n_aug=110, **graded(0.81, 0.57)),
         ),
     }
     path = tmp_path / "budget.tsv"
@@ -344,3 +342,83 @@ def test_write_budget_table_layout(tmp_path):
     assert lines[2] == "11\t0.5\tdasa\t100\t0.8000\t0.6000"
     assert lines[-1] == "mean\t0.5\trandom\t105\t0.8000\t0.5600"
     assert len(lines) == 2 + 4 + 2
+
+
+def _old_ablation_table(tables, config) -> str:
+    """The ladder table writer as it was before the shared seed-table writer."""
+    seeds = [t.seed for t in tables]
+    lines = [f"# {table_header(config, seeds)}"]
+    lines.append("seed\trung\tlabel\tf1_id\tf1_ood\tacc_id\tacc_ood")
+    for t in tables:
+        for r in t.rows:
+            lines.append(
+                f"{t.seed}\t{r.rung}\t{r.label}\t{r.f1_id:.4f}\t{r.f1_ood:.4f}"
+                f"\t{r.acc_id:.4f}\t{r.acc_ood:.4f}"
+            )
+    for rung in range(len(LADDER_LABELS)):
+        rows = [t.rows[rung] for t in tables]
+        lines.append(
+            f"mean\t{rung + 1}\t{rows[0].label}"
+            f"\t{np.mean([r.f1_id for r in rows]):.4f}"
+            f"\t{np.mean([r.f1_ood for r in rows]):.4f}"
+            f"\t{np.mean([r.acc_id for r in rows]):.4f}"
+            f"\t{np.mean([r.acc_ood for r in rows]):.4f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _old_budget_table(rows_by_seed, config) -> str:
+    """The budget table writer as it was before the shared seed-table writer."""
+    seeds = sorted(rows_by_seed)
+    lines = [f"# {table_header(config, seeds)}"]
+    lines.append("seed\tbudget\tstrategy\tn_aug\tf1_id\tf1_ood")
+    for seed in seeds:
+        for r in rows_by_seed[seed]:
+            lines.append(
+                f"{seed}\t{r.budget:g}\t{r.strategy}\t{r.n_aug}"
+                f"\t{r.f1_id:.4f}\t{r.f1_ood:.4f}"
+            )
+    first = rows_by_seed[seeds[0]]
+    for i, template in enumerate(first):
+        group = [rows_by_seed[s][i] for s in seeds]
+        lines.append(
+            f"mean\t{template.budget:g}\t{template.strategy}"
+            f"\t{int(np.mean([r.n_aug for r in group]))}"
+            f"\t{np.mean([r.f1_id for r in group]):.4f}"
+            f"\t{np.mean([r.f1_ood for r in group]):.4f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_seed_tables_match_the_old_writers_at_five_seeds(tmp_path):
+    rng = np.random.default_rng(21)
+    # unsorted seeds: the ladder keeps its input order, the budget table sorts
+    seeds = (14, 11, 15, 12, 13)
+    tables = [
+        AblationTable(
+            seed=seed,
+            rows=tuple(
+                AblationRow(rung=i + 1, label=label, **graded(*rng.uniform(0, 1, 4)))
+                for i, label in enumerate(LADDER_LABELS)
+            ),
+            best_alpha=0.5,
+        )
+        for seed in seeds
+    ]
+    rows_by_seed = {
+        seed: tuple(
+            BudgetRow(budget=b, strategy=strategy, n_aug=int(rng.integers(1, 997)),
+                      **graded(*rng.uniform(0, 1, 2)))
+            for b in (0.25, 1 / 3, 1.0)
+            for strategy in ("dasa", "random")
+        )
+        for seed in seeds
+    }
+    write_ablation_tables(tables, tmp_path / "ablation.tsv", SMALL)
+    write_budget_table(rows_by_seed, tmp_path / "budget.tsv", SMALL)
+    assert (tmp_path / "ablation.tsv").read_text(encoding="utf-8") == _old_ablation_table(
+        tables, SMALL
+    )
+    assert (tmp_path / "budget.tsv").read_text(encoding="utf-8") == _old_budget_table(
+        rows_by_seed, SMALL
+    )

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TINY_CONFIG, TINY_PLAN
+from conftest import TINY_CONFIG, TINY_PLAN, graded
 from darl.dataset import EmbeddingMatrix, LabeledDataset, generate_pretrain_superset
 from darl.errors import (
     CheckpointError,
@@ -15,18 +15,21 @@ from darl.errors import (
     DivergenceError,
 )
 from darl import lpft
-from darl.harness import ExperimentConfig, prepare
-from darl.lpft import (
-    DEFAULT_ALPHA_GRID,
+from darl.harness import (
     AlphaRow,
     AlphaSweepResult,
-    StagePlan,
+    ExperimentConfig,
     alpha_sweep,
+    prepare,
+    write_alpha_table,
+)
+from darl.lpft import (
+    DEFAULT_ALPHA_GRID,
+    StagePlan,
     full_finetune,
     linear_probe,
     pretrain_backbone,
     run_training,
-    write_alpha_table,
 )
 from darl.metrics import compute_metrics, fit_grade_thresholds
 from darl.model import (
@@ -453,14 +456,14 @@ def test_alpha_sweep_validation():
 
 
 def test_combined_score_is_mean_of_f1s():
-    row = AlphaRow(alpha=0.3, f1_id=0.8, f1_ood=0.6, acc_id=0.9, acc_ood=0.7)
+    row = AlphaRow(alpha=0.3, **graded(0.8, 0.6, 0.9, 0.7))
     assert row.combined == pytest.approx(0.7)
 
 
 def test_write_alpha_table_format(tmp_path):
     rows = (
-        AlphaRow(alpha=0.0, f1_id=0.81234, f1_ood=0.61111, acc_id=0.9, acc_ood=0.7),
-        AlphaRow(alpha=0.5, f1_id=0.85, f1_ood=0.66, acc_id=0.92, acc_ood=0.72),
+        AlphaRow(alpha=0.0, **graded(0.81234, 0.61111, 0.9, 0.7)),
+        AlphaRow(alpha=0.5, **graded(0.85, 0.66, 0.92, 0.72)),
     )
     result = AlphaSweepResult(rows=rows, best_alpha=0.5)
     path = tmp_path / "sweep.tsv"

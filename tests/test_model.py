@@ -71,8 +71,6 @@ def test_arch_validation():
         ModelArch(hidden=())
     with pytest.raises(ConfigError):
         ModelArch(hidden=(8, 0))
-    with pytest.raises(ConfigError):
-        ModelArch(activation="relu")
 
 
 def test_fingerprint_tracks_shape():
@@ -507,6 +505,20 @@ def test_checkpoint_fingerprint_tamper(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="fingerprint"):
         load_checkpoint(path)
+
+
+def test_checkpoint_activation_tag(tmp_path):
+    # every hidden layer is tanh, recorded as tag 1; any other tag is refused
+    blob = _saved_blob(tmp_path)
+    tag_at = 4 + 4 + 8 + 4 * len(SMALL.hidden)
+    assert blob[tag_at] == 1
+    assert SMALL.descriptor()["activation"] == "tanh"
+    path = tmp_path / "tag.ckpt"
+    for tag in (0, 2):
+        blob[tag_at] = tag
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="activation tag"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_count_mismatch(tmp_path):

@@ -32,7 +32,7 @@ from darl.ood_select import (
     select_ood,
     write_score_report,
 )
-from darl.util import BLOCK_ROWS
+from darl.util import BLOCK_ROWS, row_blocks
 
 # ---------------------------------------------------------------------------
 # gaussian fitting
@@ -242,10 +242,31 @@ def test_knn_chunking_is_invisible(monkeypatch):
     # one-row tail at chunk 7
     queries = rng.standard_normal((400, 3))
     base = knn_distance_batch(index, queries)
-    for chunk in (2, 7, 1024):
+    # index tiles of 50, 3 (17 tiles, the last overlapping), 2 and 17 rows
+    for chunk, cols in ((2, 50), (7, 3), (1024, 2), (7, 17)):
         monkeypatch.setattr(ood_select, "KNN_CHUNK", chunk)
+        monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", 8 * chunk * cols)
         assert np.array_equal(knn_distance_batch(index, queries), base)
         assert knn_distance_batch(index, np.zeros((0, 3))).shape == (0,)
+
+
+def test_knn_index_tiles_follow_the_index_size(monkeypatch):
+    # the byte budget holds 192 queries against 10,000 index rows; a larger
+    # index is cut into near-equal tiles, never one of a single row
+    widths = []
+
+    def recording(n, width):
+        widths.append(width)
+        return row_blocks(n, width)
+
+    monkeypatch.setattr(ood_select, "row_blocks", recording)
+    rng = np.random.default_rng(9)
+    queries = rng.standard_normal((5, 2))
+    for rows in (10_000, 20_000, 15_000):
+        knn_distance_batch(build_index(rng.standard_normal((rows, 2))), queries)
+    monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", 1)
+    knn_distance_batch(build_index(rng.standard_normal((3, 2))), queries)
+    assert widths == [192, 10_000, 192, 10_000, 192, 7_500, 192, 2]
 
 
 def test_knn_similarity_buffer_is_reused(monkeypatch):
@@ -266,6 +287,17 @@ def test_knn_similarity_buffer_is_reused(monkeypatch):
     similarity_block = chunk * index.rows * 8
     assert query_bytes < similarity_block / 2
     assert peak(large) - peak(small) <= query_bytes
+
+
+def test_knn_similarity_buffer_fits_the_budget(monkeypatch):
+    rng = np.random.default_rng(10)
+    dims, chunk = 4, 64
+    index = build_index(rng.standard_normal((4000, dims)))
+    monkeypatch.setattr(ood_select, "KNN_CHUNK", chunk)
+    budget = 8 * chunk * 500
+    monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", budget)
+    # a whole-index buffer would be 8 budgets
+    assert traced_peak(knn_distance_batch, index, rng.standard_normal((chunk, dims))) < 2 * budget
 
 
 def test_knn_bounds():

@@ -140,6 +140,34 @@ def test_only_lpft_reads_a_stage_budget():
     assert {name: found for name, found in reads.items() if found} == {}
 
 
+def test_only_evaluate_model_grades():
+    # harness.evaluate_model fits grade thresholds on ID validation scores and
+    # applies them unchanged to the other sets; the blend sweep, the ladder,
+    # the budget sweep and `darl eval` grade through it, so no second copy of
+    # that rule can drift from it
+    grading = {"fit_grade_thresholds", "compute_metrics"}
+    found = {}
+    for path in SOURCES:
+        if path.name == "metrics.py":
+            continue
+        tree = _tree(path)
+        grader = set()
+        if path.name == "harness.py":
+            evaluate = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "evaluate_model"
+            )
+            grader = {id(node) for node in ast.walk(evaluate)}
+        outside = [node for node in ast.walk(tree) if id(node) not in grader]
+        named = {n.id for n in outside if isinstance(n, ast.Name)}
+        named |= {n.attr for n in outside if isinstance(n, ast.Attribute)}
+        if path.name != "harness.py":
+            named |= {name for _, name, _ in _imports(tree)}
+        if named & grading:
+            found[path.name] = sorted(named & grading)
+    assert found == {}
+
+
 def test_scipy_loads_at_the_first_mahalanobis_distance():
     # scipy.linalg is most of the CLI's start-up time and only
     # mahalanobis_batch uses it, so importing darl must not load scipy
