@@ -256,9 +256,10 @@ class _Run:
     def text_file(text: str, path: Path) -> None:
         path.write_text(text, encoding="utf-8")
 
-    def save_dataset(self, stem: str, dataset: LabeledDataset) -> None:
-        self.save(f"data/{stem}.emb", write_embeddings, dataset.embeddings)
-        self.save(f"data/{stem}.tsv", write_labels, dataset)
+    def save_dataset(self, stem: str, dataset: LabeledDataset, rows=None) -> None:
+        """Write ``dataset``'s rows at ``rows`` (default: all) as ``data/stem.*``."""
+        self.save(f"data/{stem}.emb", write_embeddings, dataset.embeddings, rows)
+        self.save(f"data/{stem}.tsv", write_labels, dataset, rows)
 
     def load_dataset(self, stem: str) -> LabeledDataset:
         matrix = self.load(f"data/{stem}.emb", load_embeddings)
@@ -280,25 +281,23 @@ def cmd_gen_data(run: _Run, args) -> None:
     """Generate the synthetic corpus and all data splits."""
     config = run.config
     corpus = generate_synthetic(config.corpus)
+    pool = corpus.pool_truth
     # split before anything is written, so a pool that cannot feed the
-    # shifted evaluation sets leaves no run directory behind
-    select_truth, val_ood, test_ood = split_pool(
-        corpus.pool_truth, config.eval_fraction, config.seed
-    )
+    # shifted evaluation sets leaves no run directory behind; the splits are
+    # written straight from the pool, which is never held twice
+    splits = split_pool(pool, config.eval_fraction, config.seed)
     superset = generate_pretrain_superset(config.corpus)
     run.save("config.json", run.text_file, canonical_json(dataclasses.asdict(config)) + "\n")
     run.save_dataset("train_id", corpus.train_id)
     run.save_dataset("val_id", corpus.val_id)
     run.save_dataset("test_id", corpus.test_id)
     run.save_dataset("superset", superset)
-    run.save("data/pool.emb", write_embeddings, corpus.pool_truth.embeddings)
-    run.save("data/pool_truth.tsv", write_labels, corpus.pool_truth)
-    run.save_dataset("select_truth", select_truth)
-    run.save_dataset("val_ood", val_ood)
-    run.save_dataset("test_ood", test_ood)
-    n_pool = corpus.pool_truth.rows
-    print(f"gen-data: wrote corpus (pool {n_pool} rows, eval split "
-          f"{n_pool - select_truth.rows}) to {run.path('data')}")
+    run.save("data/pool.emb", write_embeddings, pool.embeddings)
+    run.save("data/pool_truth.tsv", write_labels, pool)
+    for stem, rows in zip(("select_truth", "val_ood", "test_ood"), splits):
+        run.save_dataset(stem, pool, rows)
+    print(f"gen-data: wrote corpus (pool {pool.rows} rows, eval split "
+          f"{pool.rows - len(splits[0])}) to {run.path('data')}")
 
 
 def cmd_train(run: _Run, args) -> None:

@@ -11,6 +11,7 @@ shifted rows.
 from __future__ import annotations
 
 import enum
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +30,7 @@ from .errors import (
     NonFiniteValueError,
     TruncatedPayloadError,
 )
-from .util import BLOCK_ROWS, order_stat_quantile, row_blocks, sub_rng
+from .util import BLOCK_ROWS, order_stat_quantile, sub_rng
 
 EMBEDDING_MAGIC = b"EMB1"
 LABEL_HEADER = "id\tgrade\torigin"
@@ -73,6 +74,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _first_non_finite(data: np.ndarray) -> int | None:
+    """Flat index of the first non-finite value of 2-D ``data`` (checked
+    ``BLOCK_ROWS`` rows at a time), or ``None``."""
+    for start in range(0, data.shape[0], BLOCK_ROWS):
+        finite = np.isfinite(data[start : start + BLOCK_ROWS])
+        if not finite.all():
+            return start * data.shape[1] + int(np.argmin(finite))
+    return None
+
+
+def _has_duplicate(ids: tuple[str, ...]) -> bool:
+    """Whether two ids are equal.  Only ids whose hashes collide are put in
+    a set: a set of every id would be a pool-sized table."""
+    hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
+    hashes.sort()
+    clashes = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    suspects = [rid for rid in ids if hash(rid) in clashes] if clashes else []
+    return len(set(suspects)) != len(suspects)
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """Dense row-major feature matrix with one opaque string id per row."""
@@ -84,14 +105,14 @@ class EmbeddingMatrix:
         data = np.ascontiguousarray(self.data, dtype=np.float32)
         if data.ndim != 2:
             raise DimensionMismatchError("embedding data must be 2-dimensional")
-        if not np.isfinite(data).all():
+        if _first_non_finite(data) is not None:
             raise NonFiniteValueError("embedding data contains non-finite values")
         ids = tuple(self.ids)
         if len(ids) != data.shape[0]:
             raise DimensionMismatchError(
                 f"{len(ids)} ids for {data.shape[0]} rows"
             )
-        if len(set(ids)) != len(ids):
+        if _has_duplicate(ids):
             raise DuplicateIdError("duplicate row ids in embedding matrix")
         object.__setattr__(self, "data", _freeze(data))
         object.__setattr__(self, "ids", ids)
@@ -227,16 +248,18 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _sample_mixture(
-    centers: np.ndarray, n: int, rng: np.random.Generator, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``n`` rows of a random center plus standard normal noise, drawn into
-    ``out`` when given; the centers are added a block at a time."""
+def _mixture_blocks(centers: np.ndarray, n: int, rng: np.random.Generator):
+    """``n`` rows of a random center plus standard normal noise, yielded as
+    (first row, rows) ``BLOCK_ROWS`` rows at a time: the same rows as one
+    whole draw, since the normals come from ``rng`` in order."""
     picks = rng.integers(0, centers.shape[0], size=n)
-    rows = rng.standard_normal((n, centers.shape[1]), out=out)
     for start in range(0, n, BLOCK_ROWS):
-        rows[start : start + BLOCK_ROWS] += centers[picks[start : start + BLOCK_ROWS]]
-    return rows
+        block = picks[start : start + BLOCK_ROWS]
+        yield start, rng.standard_normal((block.size, centers.shape[1])) + centers[block]
+
+
+def _sample_mixture(centers: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    return np.concatenate([rows for _, rows in _mixture_blocks(centers, n, rng)])
 
 
 def _calibrate_rule(
@@ -356,37 +379,33 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     val_id = _labeled_split(bp, "val_id", config.val_size, "val")
     test_id = _labeled_split(bp, "test_id", config.test_size, "test")
 
-    # both mixtures are drawn into one float64 array and graded in place, and
-    # the shuffled rows are cast a block at a time: no other pool-sized copy
+    # each mixture is drawn, graded and cast a block at a time, and every
+    # block is scattered straight to its shuffled rows: draw j lands at row
+    # slot[j], so row i holds draw perm[i]
     n = config.pool_size
     n_id = n - int(round(n * config.pool_ood_fraction))
-    points = np.empty((n, config.dims), dtype=np.float64)
-    grades = np.empty(n, dtype=np.int8)
-    origin = np.zeros(n, dtype=np.int8)
-    origin[n_id:] = int(Origin.OOD)
-    for part, centers, rule, tag in (
-        (slice(0, n_id), bp.id_centers, bp.id_rule, "pool_id"),
-        (slice(n_id, n), bp.ood_centers, bp.ood_rule, "pool_ood"),
-    ):
-        rng = sub_rng(config.seed, "rows", tag)
-        _sample_mixture(centers, part.stop - part.start, rng, points[part])
-        grades[part] = rule.grade_of(points[part])
     perm = sub_rng(config.seed, "pool-shuffle").permutation(n)
-    shuffled = np.empty(points.shape, dtype=np.float32)
-    for part in row_blocks(n, BLOCK_ROWS):
-        shuffled[part] = points[perm[part]]
-    del points
-    grades = _resample_noise(
-        grades[perm], config.label_noise_rate, sub_rng(config.seed, "noise", "pool")
-    )
-    ids = tuple(f"pool-{i:06d}" for i in range(n))
-    pool = EmbeddingMatrix(shuffled, ids)
+    slot = np.empty(n, dtype=np.intp)
+    slot[perm] = np.arange(n)
+    data = np.empty((n, config.dims), dtype=np.float32)
+    grades = np.empty(n, dtype=np.int8)
+    for first, count, centers, rule, tag in (
+        (0, n_id, bp.id_centers, bp.id_rule, "pool_id"),
+        (n_id, n - n_id, bp.ood_centers, bp.ood_rule, "pool_ood"),
+    ):
+        for start, rows in _mixture_blocks(centers, count, sub_rng(config.seed, "rows", tag)):
+            dest = slot[first + start : first + start + len(rows)]
+            data[dest] = rows
+            grades[dest] = rule.grade_of(rows)
+    grades = _resample_noise(grades, config.label_noise_rate, sub_rng(config.seed, "noise", "pool"))
+    origin = (perm >= n_id).astype(np.int8)  # Origin.OOD (1) from draw n_id on
+    pool = EmbeddingMatrix(data, tuple(f"pool-{i:06d}" for i in range(n)))
 
     return SyntheticCorpus(
         train_id=train_id,
         val_id=val_id,
         test_id=test_id,
-        pool_truth=LabeledDataset(pool, grades, origin[perm]),
+        pool_truth=LabeledDataset(pool, grades, origin),
     )
 
 
@@ -423,93 +442,126 @@ def generate_pretrain_superset(config: SyntheticConfig) -> LabeledDataset:
 # file formats
 
 
-def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Write the binary embedding format (magic, header, f32 payload, ids)."""
-    raws = [rid.encode("utf-8") for rid in matrix.ids]
-    lengths = np.fromiter(map(len, raws), dtype=np.int64, count=len(raws))
-    too_long = np.flatnonzero(lengths > 0xFFFF)
-    if too_long.size:
-        rid = matrix.ids[int(too_long[0])]
-        raise DataFormatError(f"id too long to serialize: {rid[:32]!r}...")
-    # every id is its u16 byte length (little-endian) followed by its bytes
-    id_block = np.insert(
-        np.frombuffer(b"".join(raws), dtype=np.uint8),
-        np.repeat(np.cumsum(lengths) - lengths, 2),
-        lengths.astype("<u2").view(np.uint8),
-    )
-    # the payload goes out through the array's own buffer, not a bytes copy
+def _index_blocks(n: int, rows: np.ndarray | None) -> list[np.ndarray]:
+    """Indices of ``rows`` (default: all ``n`` rows) cut into ``BLOCK_ROWS`` blocks."""
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    return [rows[start : start + BLOCK_ROWS] for start in range(0, len(rows), BLOCK_ROWS)]
+
+
+def write_embeddings(matrix: EmbeddingMatrix, path: str | Path, rows=None) -> None:
+    """Write the binary embedding format (magic, header, f32 payload, ids)
+    of the rows at ``rows`` in that order (default: every row).
+
+    Rows are gathered and ids encoded ``BLOCK_ROWS`` at a time; the encoded
+    ids (a few bytes per row) are checked before the file is opened.
+    """
+    blocks = _index_blocks(matrix.rows, rows)
+    # an object array of the ids: a block's index array gathers them in one
+    # call, faster than a lookup per id
+    ids = np.asarray(matrix.ids, dtype=object)
+    id_blocks = []
+    for block in blocks:
+        picked = ids[block].tolist()
+        raws = [rid.encode("utf-8") for rid in picked]
+        lengths = np.fromiter(map(len, raws), dtype=np.int64, count=len(raws))
+        too_long = np.flatnonzero(lengths > 0xFFFF)
+        if too_long.size:
+            raise DataFormatError(f"id too long to serialize: {picked[int(too_long[0])][:32]!r}...")
+        # every id is its u16 byte length (little-endian) followed by its bytes
+        id_blocks.append(np.insert(
+            np.frombuffer(b"".join(raws), dtype=np.uint8),
+            np.repeat(np.cumsum(lengths) - lengths, 2),
+            lengths.astype("<u2").view(np.uint8),
+        ))
+    count = sum(map(len, blocks))
     with open(path, "wb") as f:
-        f.write(EMBEDDING_MAGIC + struct.pack("<II", matrix.rows, matrix.dims))
-        f.write(np.ascontiguousarray(matrix.data, dtype="<f4").data)
-        f.write(struct.pack("<I", matrix.rows))
-        f.write(id_block.data)
+        f.write(EMBEDDING_MAGIC + struct.pack("<II", count, matrix.dims))
+        for block in blocks:
+            f.write(np.ascontiguousarray(matrix.data[block], dtype="<f4").data)
+        f.write(struct.pack("<I", count))
+        for id_block in id_blocks:
+            f.write(id_block.data)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Parse the binary embedding format, rejecting malformed payloads."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 4 or blob[:4] != EMBEDDING_MAGIC:
-        raise BadMagicError("bad magic", offset=0)
-    if len(blob) < 12:
-        raise TruncatedPayloadError("truncated header", offset=len(blob))
-    rows, dims = struct.unpack_from("<II", blob, 4)
-    offset = 12
-    need = rows * dims * 4
-    if len(blob) < offset + need:
-        raise TruncatedPayloadError(
-            f"embedding payload needs {need} bytes, file ends early", offset=len(blob)
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=rows * dims, offset=offset)
-    finite = np.isfinite(data)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    """Parse the binary embedding format, rejecting malformed payloads.
+
+    The payload is read straight into the returned array and checked for
+    finiteness ``BLOCK_ROWS`` rows at a time; every error names its byte
+    offset in the file.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if len(head) < 4 or head[:4] != EMBEDDING_MAGIC:
+            raise BadMagicError("bad magic", offset=0)
+        if len(head) < 12:
+            raise TruncatedPayloadError("truncated header", offset=len(head))
+        rows, dims = struct.unpack_from("<II", head, 4)
+        need = rows * dims * 4
+        if size < 12 + need:
+            raise TruncatedPayloadError(
+                f"embedding payload needs {need} bytes, file ends early", offset=size
+            )
+        data = np.empty((rows, dims), dtype="<f4")
+        got = f.readinto(data)
+        if got != need:  # the file shrank after it was measured
+            raise TruncatedPayloadError(
+                f"embedding payload needs {need} bytes, file ends early", offset=12 + got
+            )
+        tail = f.read()
+    bad = _first_non_finite(data)
+    if bad is not None:
         raise NonFiniteValueError(
             f"non-finite value at row {bad // dims} col {bad % dims}",
-            offset=offset + bad * 4,
+            offset=12 + bad * 4,
         )
-    data = data.reshape(rows, dims).copy()
-    offset += need
-    if len(blob) < offset + 4:
-        raise TruncatedPayloadError("truncated id block header", offset=len(blob))
-    (id_count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    # the id block: ``base`` is its file offset, ``offset`` counts within it
+    base, end = 12 + need, 12 + need + len(tail)
+    if len(tail) < 4:
+        raise TruncatedPayloadError("truncated id block header", offset=end)
+    (id_count,) = struct.unpack_from("<I", tail)
     if id_count != rows:
-        raise DataFormatError(
-            f"id count {id_count} does not match {rows} rows", offset=offset - 4
-        )
+        raise DataFormatError(f"id count {id_count} does not match {rows} rows", offset=base)
     ids = []
-    size = len(blob)
+    offset = 4
     for _ in range(rows):
-        if size < offset + 2:
-            raise TruncatedPayloadError("truncated id length", offset=size)
+        if len(tail) < offset + 2:
+            raise TruncatedPayloadError("truncated id length", offset=end)
         start = offset + 2
-        offset = start + (blob[offset] | blob[offset + 1] << 8)
-        if size < offset:
-            raise TruncatedPayloadError("truncated id string", offset=size)
+        offset = start + (tail[offset] | tail[offset + 1] << 8)
+        if len(tail) < offset:
+            raise TruncatedPayloadError("truncated id string", offset=end)
         try:
-            ids.append(blob[start:offset].decode("utf-8"))
+            ids.append(tail[start:offset].decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise DataFormatError(f"id is not valid UTF-8: {exc}", offset=start)
-    if offset != size:
+            raise DataFormatError(f"id is not valid UTF-8: {exc}", offset=base + start)
+    if offset != len(tail):
         raise DataFormatError(
-            f"{size - offset} trailing bytes after id block", offset=offset
+            f"{len(tail) - offset} trailing bytes after id block", offset=base + offset
         )
     return EmbeddingMatrix(data, tuple(ids))
 
 
-def write_labels(dataset: LabeledDataset, path: str | Path) -> None:
-    """Write the label TSV (id, grade token, origin token)."""
-    grades = [_GRADE_TOKENS[code] for code in dataset.grades.tolist()]
-    origin = [_ORIGIN_TOKENS[code] for code in dataset.origin.tolist()]
-    lines = [LABEL_HEADER, *map("\t".join, zip(dataset.ids, grades, origin))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_labels(dataset: LabeledDataset, path: str | Path, rows=None) -> None:
+    """Write the label TSV (id, grade token, origin token) of the rows at
+    ``rows`` in that order (default: every row), ``BLOCK_ROWS`` lines at a time."""
+    ids = np.asarray(dataset.ids, dtype=object)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(LABEL_HEADER + "\n")
+        for block in _index_blocks(dataset.rows, rows):
+            grades = map(_GRADE_TOKENS.__getitem__, dataset.grades[block].tolist())
+            origin = map(_ORIGIN_TOKENS.__getitem__, dataset.origin[block].tolist())
+            lines = zip(ids[block].tolist(), grades, origin)
+            f.write("\n".join(map("\t".join, lines)) + "\n")
 
 
 def load_labels(path: str | Path) -> dict[str, tuple[RelevanceGrade, Origin]]:
     """Parse the label TSV into an ordered id -> (grade, origin) mapping.
 
-    A well-formed file is parsed a column at a time; any fault sends it
-    through the line-by-line parse, which names the first bad line.
+    A well-formed file is parsed a column at a time, ``BLOCK_ROWS`` lines
+    at a time; any fault sends it through the line-by-line parse, which
+    names the first bad line.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -518,17 +570,19 @@ def load_labels(path: str | Path) -> dict[str, tuple[RelevanceGrade, Origin]]:
     if not lines or lines[0] != LABEL_HEADER:
         raise DataFormatError(f"label file missing header {LABEL_HEADER!r}")
     rows = list(filter(None, lines[1:]))
-    if set(map(str.count, rows, repeat("\t"))) == {2}:
-        cells = "\t".join(rows).split("\t")
-        ids = cells[0::3]
+    out: dict[str, tuple[RelevanceGrade, Origin]] = {}
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        if set(map(str.count, block, repeat("\t"))) != {2}:
+            return _parse_label_lines(lines)
+        cells = "\t".join(block).split("\t")
         try:
-            labels = map(_LABELS.__getitem__, zip(cells[1::3], cells[2::3]))
-            out = dict(zip(ids, labels))
+            out.update(zip(cells[0::3], map(_LABELS.__getitem__, zip(cells[1::3], cells[2::3]))))
         except KeyError:  # an unknown token
-            out = {}
-        if len(out) == len(ids):  # else an unknown token or a duplicate id
-            return out
-    return _parse_label_lines(lines)
+            return _parse_label_lines(lines)
+        if len(out) != start + len(block):  # a duplicate id
+            return _parse_label_lines(lines)
+    return out
 
 
 def _parse_label_lines(lines: list[str]) -> dict[str, tuple[RelevanceGrade, Origin]]:

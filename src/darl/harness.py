@@ -39,7 +39,7 @@ from .dataset import (
     generate_synthetic,
     merge_datasets,
 )
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, DimensionMismatchError
 from .lpft import (
     StagePlan,
     full_finetune,
@@ -50,6 +50,7 @@ from .lpft import (
 from .metrics import Metrics, compute_metrics, fit_grade_thresholds, score_histogram, wr_mid_fraction
 from .model import CalibrationPrior, ModelParams, interpolate, predict_scores, representations
 from .ood_select import (
+    KNN_CHUNK,
     GaussianStats,
     NeighborIndex,
     OodThresholds,
@@ -63,7 +64,7 @@ from .ood_select import (
     mahalanobis_batch,
     select_ood,
 )
-from .util import config_hash, parallel, sub_rng
+from .util import BLOCK_ROWS, config_hash, parallel, row_blocks, sub_rng
 
 TREND_SEEDS = (11, 12, 13, 14, 15)
 DEFAULT_BUDGETS = (0.25, 0.5, 0.75, 1.0)
@@ -102,13 +103,10 @@ class ExperimentConfig:
         return CalibrationPrior(self.rho)
 
     def descriptor(self) -> dict:
-        return {
-            "corpus": dataclasses.asdict(self.corpus),
-            "plan": dataclasses.asdict(self.plan),
-            "rho": self.rho,
-            "policy": dataclasses.asdict(self.policy),
-            "eval_fraction": self.eval_fraction,
-        }
+        """The experiment fields as plain data; a subclass's own fields (the
+        CLI's run-level settings) stay out, so they do not change the hash."""
+        values = dataclasses.asdict(self)
+        return {f.name: values[f.name] for f in dataclasses.fields(ExperimentConfig)}
 
 
 def table_header(config: ExperimentConfig, seeds) -> str:
@@ -140,26 +138,26 @@ class PreparedCorpus:
 
 def split_pool(
     pool_truth: LabeledDataset, eval_fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Split the pool into (select_truth, val_ood, test_ood).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool row indices of (select_truth, val_ood, test_ood).
 
     A seeded ``eval_fraction`` of the pool is held out from selection; its
     true out-of-distribution rows are halved into the shifted validation and
-    test sets.
+    test sets.  Indices, not copies, so a caller that only writes the splits
+    never holds the pool twice.
     """
     n_pool = pool_truth.rows
     perm = sub_rng(seed, "pool-eval-split").permutation(n_pool)
     n_eval = int(round(eval_fraction * n_pool))
-    eval_truth = pool_truth.take(perm[:n_eval])
-    select_truth = pool_truth.take(perm[n_eval:])
-    ood_rows = np.flatnonzero(eval_truth.origin == int(Origin.OOD))
+    held_out = perm[:n_eval]
+    ood_rows = held_out[pool_truth.origin[held_out] == int(Origin.OOD)]
     if ood_rows.size < 2:
         raise DataFormatError(
             "evaluation split holds fewer than 2 true out-of-distribution rows "
             "(raise eval_fraction, corpus.pool_size or corpus.pool_ood_fraction)"
         )
     half = ood_rows.size // 2
-    return select_truth, eval_truth.take(ood_rows[:half]), eval_truth.take(ood_rows[half:])
+    return perm[n_eval:], ood_rows[:half], ood_rows[half:]
 
 
 def fit_space(
@@ -170,10 +168,39 @@ def fit_space(
     return fit_gaussian(reps), build_index(reps, train_id.ids)
 
 
+# multiply-adds up to which an OpenBLAS 0.3 matrix product stays on the
+# calling thread (it woke a second thread between 0.98 and 1.02 million on
+# a 2-core Haswell build); half of that leaves a margin
+_SOLO_PRODUCT_MACS = 1 << 19
+
+
 def _distances(backbone, stats, index, data: LabeledDataset):
-    """(Mahalanobis, kNN) distances of each row's representation."""
-    reps = representations(backbone, data.embeddings.data)
-    return mahalanobis_batch(stats, reps), knn_distance_batch(index, reps)
+    """(Mahalanobis, kNN) distances of each row's representation.
+
+    The only scorer.  The float64 representations are computed a block at
+    a time, once per distance, and never held whole; their products stay
+    under OpenBLAS's single-thread cutoff.  The two distances run in two
+    passes because numpy and scipy each load their own OpenBLAS, whose
+    worker threads keep spinning after a threaded call: switching libraries
+    per block set the two thread pools against each other on the same cores
+    and ran about 1.5x slower.  So scipy solves every Mahalanobis block
+    while numpy's pool sleeps, and then numpy runs every kNN block.  Each
+    row's distances do not depend on the blocks.
+    """
+    if stats.dims != index.dims:
+        raise DimensionMismatchError(
+            f"dims disagree: gaussian {stats.dims}, index {index.dims}"
+        )
+    x = data.embeddings.data
+    widest = max(fan_in * fan_out for fan_in, fan_out in backbone.arch.layer_shapes()[:-1])
+    solo = max(2, _SOLO_PRODUCT_MACS // widest)
+    mahal, knn = np.empty(len(x)), np.empty(len(x))
+    for part in row_blocks(len(x), BLOCK_ROWS):
+        mahal[part] = mahalanobis_batch(stats, representations(backbone, x[part], solo))
+    # whole kNN query chunks per block, so only the last block's chunks overlap
+    for part in row_blocks(len(x), KNN_CHUNK * max(1, BLOCK_ROWS // KNN_CHUNK)):
+        knn[part] = knn_distance_batch(index, representations(backbone, x[part], solo))
+    return mahal, knn
 
 
 def calibrate(
@@ -200,8 +227,8 @@ def select_rows(
 ) -> tuple[SelectionReport, LabeledDataset]:
     """Score the selection split; the selected rows keep their true grades
     (oracle labeling) and form the augmentation set."""
-    reps = representations(backbone, select_truth.embeddings.data)
-    report = select_ood(reps, stats, index, thresholds, ids=select_truth.ids)
+    mahal, knn = _distances(backbone, stats, index, select_truth)
+    report = select_ood(mahal, knn, thresholds, select_truth.ids)
     return report, select_truth.take(report.selected_indices)
 
 
@@ -211,8 +238,8 @@ def prepare(config: ExperimentConfig, seed: int) -> PreparedCorpus:
     cfg = config.for_seed(seed)
     corpus = generate_synthetic(cfg.corpus)
     backbone, _ = pretrain_backbone(generate_pretrain_superset(cfg.corpus), cfg.plan)
-    select_truth, val_ood, test_ood = split_pool(
-        corpus.pool_truth, config.eval_fraction, seed
+    select_truth, val_ood, test_ood = map(
+        corpus.pool_truth.take, split_pool(corpus.pool_truth, config.eval_fraction, seed)
     )
     stats, index = fit_space(backbone, corpus.train_id)
     thresholds = calibrate(
@@ -382,20 +409,19 @@ class AblationRow(EvalPair):
 class AblationTable:
     seed: int
     rows: tuple[AblationRow, ...]
-    best_alpha: float
 
 
 def run_ablation(config: ExperimentConfig, seed: int) -> AblationTable:
     """Train and evaluate the four-rung ladder for one seed."""
     prep = prepare(config, seed)
-    models, sweep = ladder_models(config, seed)
+    models, _ = ladder_models(config, seed)
     rows = []
     for rung, (label, model) in enumerate(zip(LADDER_LABELS, models), start=1):
         pair = evaluate_model(
             model, prep.corpus.val_id, prep.corpus.test_id, prep.test_ood
         )
         rows.append(AblationRow(**vars(pair), rung=rung, label=label))
-    return AblationTable(seed=seed, rows=tuple(rows), best_alpha=sweep.best_alpha)
+    return AblationTable(seed=seed, rows=tuple(rows))
 
 
 def _write_seed_table(path, config: ExperimentConfig, by_seed, columns, keys, scores) -> None:

@@ -336,29 +336,17 @@ class SelectionReport:
 
 
 def select_ood(
-    pool_reps,
-    stats: GaussianStats,
-    index: NeighborIndex,
-    thresholds: OodThresholds,
-    ids: tuple[str, ...],
+    mahal, knn, thresholds: OodThresholds, ids: tuple[str, ...]
 ) -> SelectionReport:
-    """Score every pool row (named by ``ids``) on both distances, float64
-    throughout, and flag rows whose distances both strictly exceed the
-    thresholds."""
-    if stats.dims != index.dims:
-        raise DimensionMismatchError(
-            f"dims disagree: gaussian {stats.dims}, index {index.dims}"
-        )
-    # one distance after the other: interleaving them per block switches
-    # between scipy's and numpy's OpenBLAS thread pools and ran ~1.5x slower
-    mahal = mahalanobis_batch(stats, pool_reps)
-    knn = knn_distance_batch(index, pool_reps)
-    flag_m = mahal > thresholds.d1
-    flag_k = knn > thresholds.d2
+    """Flag the pool rows (named by ``ids``) whose Mahalanobis and kNN
+    distances both strictly exceed the thresholds."""
+    m, k = _validate_scores(mahal, knn, "pool")
+    flag_m = m > thresholds.d1
+    flag_k = k > thresholds.d2
     return SelectionReport(
         ids=tuple(ids),
-        mahal=mahal,
-        knn=knn,
+        mahal=m,
+        knn=k,
         flag_mahal=flag_m,
         flag_knn=flag_k,
         selected=flag_m & flag_k,

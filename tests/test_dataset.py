@@ -98,6 +98,25 @@ def test_embedding_matrix_rejects_bad_inputs():
         EmbeddingMatrix(bad, ("a", "b"))
 
 
+class _CollidingId(str):
+    """An id whose hash equals every other's, as a hash collision would."""
+
+    def __hash__(self):
+        return 1
+
+
+def test_duplicate_ids_are_told_from_hash_collisions():
+    data = np.zeros((3, 1), dtype=np.float32)
+    ids = tuple(map(_CollidingId, "abc"))
+    assert EmbeddingMatrix(data, ids).ids == ids
+    with pytest.raises(DuplicateIdError):
+        EmbeddingMatrix(data, tuple(map(_CollidingId, "aba")))
+    # a duplicate past the first block of rows
+    rows = BLOCK_ROWS + 3
+    with pytest.raises(DuplicateIdError):
+        EmbeddingMatrix(np.zeros((rows, 1)), tuple(f"r{i}" for i in range(rows - 1)) + ("r7",))
+
+
 def test_embedding_matrix_is_immutable():
     m = EmbeddingMatrix(np.zeros((2, 2), dtype=np.float32), ("a", "b"))
     with pytest.raises(ValueError):
@@ -271,16 +290,16 @@ def test_pool_matches_the_whole_array_formula(changes):
     assert corpus.train_id.embeddings.data.tobytes() == train.tobytes()
 
 
-def test_pool_generation_holds_one_float64_pool():
+def test_pool_generation_holds_no_float64_pool():
     config = dataclasses.replace(TINY_CONFIG, dims=32, pool_size=40_000)
     dataset._blueprint(config)  # build the blueprint untraced
     n, dims = config.pool_size, config.dims
     ids = sys.getsizeof(tuple(range(n))) + sum(
         sys.getsizeof(f"pool-{i:06d}") for i in range(n)
     )
-    # the float64 and float32 pools plus the ids; the whole-array formula
-    # holds three float64 pools at once
-    assert traced_peak(generate_synthetic, config) <= n * dims * (8 + 4) + ids + (1 << 20)
+    # the float32 pool and its ids plus block-sized work; a whole float64
+    # pool (n * dims * 8 bytes) would not fit
+    assert traced_peak(generate_synthetic, config) <= n * dims * 4 + ids + (4 << 20)
 
 
 def test_planted_rule_grade_oracle():
@@ -358,6 +377,119 @@ def test_write_embeddings_matches_one_joined_blob(tmp_path):
             struct.pack("<I", rows),
             *(struct.pack("<H", len(raw)) + raw for raw in raws),
         ])
+
+
+def _whole_write_embeddings(matrix, path):
+    """The writer before blocking: every id encoded at once, one payload write."""
+    raws = [rid.encode("utf-8") for rid in matrix.ids]
+    lengths = np.fromiter(map(len, raws), dtype=np.int64, count=len(raws))
+    id_block = np.insert(
+        np.frombuffer(b"".join(raws), dtype=np.uint8),
+        np.repeat(np.cumsum(lengths) - lengths, 2),
+        lengths.astype("<u2").view(np.uint8),
+    )
+    with open(path, "wb") as f:
+        f.write(EMBEDDING_MAGIC + struct.pack("<II", matrix.rows, matrix.dims))
+        f.write(np.ascontiguousarray(matrix.data, dtype="<f4").data)
+        f.write(struct.pack("<I", matrix.rows))
+        f.write(id_block.data)
+
+
+def _whole_write_labels(labeled, path):
+    """The label writer before blocking: every line joined at once."""
+    grades = [RelevanceGrade(code).name for code in labeled.grades.tolist()]
+    origin = [Origin(code).name for code in labeled.origin.tolist()]
+    lines = ["id\tgrade\torigin", *map("\t".join, zip(labeled.ids, grades, origin))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS + 1])
+def test_blocked_writers_match_the_whole_array_writers(tmp_path, rows):
+    d = make_dataset(rows, 3, seed=rows, prefix="r\u00e9")  # two-byte UTF-8 ids
+    perm = np.random.default_rng(rows).permutation(rows)
+    # every row, then the rows at ``perm``, which must equal writing d.take(perm)
+    for picked, expected in ((None, d), (perm, d.take(perm))):
+        write_embeddings(d.embeddings, tmp_path / "new.emb", picked)
+        _whole_write_embeddings(expected.embeddings, tmp_path / "old.emb")
+        assert (tmp_path / "new.emb").read_bytes() == (tmp_path / "old.emb").read_bytes()
+        write_labels(d, tmp_path / "new.tsv", picked)
+        _whole_write_labels(expected, tmp_path / "old.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+
+
+def _embedding_faults(blob: bytes, rows: int, dims: int, row: int):
+    """(name, faulty file, error type, message, offset) for faults in ``row``
+    of an embedding file whose ids are all 8 ASCII bytes."""
+    value = 12 + (row * dims + 1) * 4
+    non_finite = bytearray(blob)
+    non_finite[value : value + 4] = struct.pack("<f", float("inf"))
+    cut = 12 + row * dims * 4
+    id_start = 12 + rows * dims * 4 + 4 + row * 10 + 2
+    bad_utf8 = bytearray(blob)
+    bad_utf8[id_start] = 0xFF
+    duplicate = bytearray(blob)
+    duplicate[id_start : id_start + 8] = blob[12 + rows * dims * 4 + 6 :][:8]  # row 0's id
+    utf8_error = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    return [
+        ("non-finite", bytes(non_finite), NonFiniteValueError,
+         f"non-finite value at row {row} col 1", value),
+        ("payload-cut", blob[:cut], TruncatedPayloadError,
+         f"embedding payload needs {rows * dims * 4} bytes, file ends early", cut),
+        ("id-cut", blob[: id_start + 3], TruncatedPayloadError,
+         "truncated id string", id_start + 3),
+        ("bad-utf8", bytes(bad_utf8), DataFormatError,
+         f"id is not valid UTF-8: {utf8_error}", id_start),
+        ("duplicate-id", bytes(duplicate), DuplicateIdError,
+         "duplicate row ids in embedding matrix", None),
+    ]
+
+
+def test_load_embeddings_names_faults_past_the_first_block(tmp_path):
+    rows, dims = BLOCK_ROWS + 5, 3
+    path = tmp_path / "m.emb"
+    write_embeddings(make_dataset(rows, dims, seed=8).embeddings, path)
+    blob = path.read_bytes()
+    for name, faulty, error, message, offset in _embedding_faults(blob, rows, dims, rows - 3):
+        path.write_bytes(faulty)
+        with pytest.raises(error) as err:
+            load_embeddings(path)
+        suffix = "" if offset is None else f" (byte offset {offset})"
+        assert (str(err.value), getattr(err.value, "offset", None)) == (
+            message + suffix, offset
+        ), name
+
+
+def test_load_labels_names_faults_past_the_first_block(tmp_path):
+    rows = BLOCK_ROWS + 5
+    path = tmp_path / "labels.tsv"
+    write_labels(make_dataset(rows, 2, seed=9), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    line = rows - 1  # a line past the first block (line 1 is the header)
+    rid, grade, origin = lines[line].split("\t")
+    faults = [
+        (f"{rid}\tXX\t{origin}", DataFormatError, "unknown grade token 'XX'"),
+        (f"{rid}\t{grade}", DataFormatError, f"line {line + 1}: expected 3 columns, got 2"),
+        (f"row-0000\t{grade}\t{origin}", DuplicateIdError,
+         f"line {line + 1}: duplicate id 'row-0000'"),
+    ]
+    for text, error, message in faults:
+        path.write_text("\n".join([*lines[:line], text, *lines[line + 1 :]]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(error) as err:
+            load_labels(path)
+        assert str(err.value) == message
+    path.write_bytes("\n".join(lines[:line]).encode("utf-8") + b"\n\xff\tSR\tID\n")
+    with pytest.raises(DataFormatError, match="label file is not UTF-8"):
+        load_labels(path)
+
+
+def test_load_embeddings_never_holds_the_payload_twice(tmp_path):
+    rows, dims = 20_000, 32
+    path = tmp_path / "pool.emb"
+    write_embeddings(make_dataset(rows, dims, seed=10, prefix="pool").embeddings, path)
+    # the payload, its ids and block-sized work: under the float64 size of
+    # the same rows, which reading the file and copying its payload exceeds
+    assert traced_peak(load_embeddings, path) < rows * dims * 8
 
 
 def test_embeddings_payload_layout(tmp_path):

@@ -8,11 +8,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import TINY_CONFIG, TINY_PLAN, graded
+from conftest import TINY_ARCH, TINY_CONFIG, TINY_PLAN, graded, make_dataset, traced_peak
 
 from darl import harness, util
 from darl.dataset import Origin, SyntheticConfig, generate_synthetic
-from darl.errors import ConfigError, DivergenceError
+from darl.errors import ConfigError, DimensionMismatchError, DivergenceError
 from darl.harness import (
     DEFAULT_BUDGETS,
     LADDER_LABELS,
@@ -22,19 +22,25 @@ from darl.harness import (
     BudgetRow,
     ExperimentConfig,
     budget_sweep,
+    fit_space,
     occ_effect,
     prepare,
     run_ablation,
+    select_rows,
     table_header,
     write_ablation_tables,
     write_budget_table,
 )
 from darl.lpft import StagePlan, run_training
+from darl.model import ModelArch, init_model, representations
 from darl.ood_select import (
+    OodThresholds,
     ThresholdPolicy,
     build_index,
     calibrate_thresholds,
     fit_gaussian,
+    knn_distance_batch,
+    mahalanobis_batch,
     select_ood,
 )
 
@@ -142,16 +148,59 @@ def test_prepare_no_shift_corpus_selects_near_nothing():
         ThresholdPolicy(mode="fpr", alpha_fpr=alpha),
     )
     report = select_ood(
-        corpus.pool_truth.embeddings.data, stats, index, thresholds,
+        *_distances(stats, index, corpus.pool_truth.embeddings.data), thresholds,
         ids=corpus.pool_truth.ids,
     )
     assert report.selected.mean() <= 2 * alpha
 
 
 def _distances(stats, index, x):
-    from darl.ood_select import knn_distance_batch, mahalanobis_batch
-
     return mahalanobis_batch(stats, x), knn_distance_batch(index, x)
+
+
+# ---------------------------------------------------------------------------
+# the fused scorer
+
+SMALL_BLOCK = 8
+
+
+@pytest.mark.parametrize("rows", [1, 2, SMALL_BLOCK - 1, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 7])
+def test_fused_distances_match_whole_array_scoring(monkeypatch, rows):
+    # small blocks and a small single-thread product cutoff, so every
+    # row count meets several blocks, overlapping last blocks and several
+    # representation products per block
+    monkeypatch.setattr(harness, "BLOCK_ROWS", SMALL_BLOCK)
+    monkeypatch.setattr(harness, "KNN_CHUNK", 3)
+    widest = max(a * b for a, b in TINY_ARCH.layer_shapes()[:-1])
+    monkeypatch.setattr(harness, "_SOLO_PRODUCT_MACS", 3 * widest)
+    backbone = init_model(TINY_ARCH, 4)
+    stats, index = fit_space(backbone, make_dataset(60, TINY_ARCH.input_dims, seed=5))
+    data = make_dataset(rows, TINY_ARCH.input_dims, seed=rows)
+    mahal, knn = harness._distances(backbone, stats, index, data)
+    # the whole-array path: every representation at once, then each distance
+    reps = representations(backbone, data.embeddings.data)
+    assert mahal.tobytes() == mahalanobis_batch(stats, reps).tobytes()
+    assert knn.tobytes() == knn_distance_batch(index, reps).tobytes()
+
+
+def test_distances_reject_a_gaussian_and_index_of_different_widths():
+    backbone = init_model(TINY_ARCH, 4)
+    stats, _ = fit_space(backbone, make_dataset(60, TINY_ARCH.input_dims, seed=5))
+    index = build_index(np.ones((3, TINY_ARCH.rep_dims - 1)))
+    with pytest.raises(DimensionMismatchError, match="dims disagree"):
+        harness._distances(backbone, stats, index, make_dataset(4, TINY_ARCH.input_dims, seed=6))
+
+
+def test_select_rows_never_holds_the_pool_representations():
+    arch = ModelArch()
+    backbone = init_model(arch, 3)
+    stats, index = fit_space(backbone, make_dataset(1_000, arch.input_dims, seed=1))
+    pool = make_dataset(20_000, arch.input_dims, seed=2, prefix="pool")
+    # thresholds at the pool's own 90th percentiles select under a tenth of it
+    mahal, knn = harness._distances(backbone, stats, index, pool)  # loads scipy untraced
+    thresholds = OodThresholds(float(np.quantile(mahal, 0.9)), float(np.quantile(knn, 0.9)), "q")
+    reps_bytes = pool.rows * arch.rep_dims * 8
+    assert traced_peak(select_rows, backbone, stats, index, thresholds, pool) < reps_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +216,8 @@ def test_run_ablation_table_shape():
     for r in table.rows:
         for value in (r.f1_id, r.f1_ood, r.acc_id, r.acc_ood):
             assert 0.0 <= value <= 1.0
-    assert table.best_alpha in CONFIG.plan.alpha_grid
+    _, sweep = harness.ladder_models(CONFIG, 11)
+    assert sweep.best_alpha in CONFIG.plan.alpha_grid
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +346,8 @@ def hand_tables():
         for i in range(4)
     )
     return (
-        AblationTable(seed=11, rows=rows_a, best_alpha=0.6),
-        AblationTable(seed=12, rows=rows_b, best_alpha=0.5),
+        AblationTable(seed=11, rows=rows_a),
+        AblationTable(seed=12, rows=rows_b),
     )
 
 
@@ -401,7 +451,6 @@ def test_seed_tables_match_the_old_writers_at_five_seeds(tmp_path):
                 AblationRow(rung=i + 1, label=label, **graded(*rng.uniform(0, 1, 4)))
                 for i, label in enumerate(LADDER_LABELS)
             ),
-            best_alpha=0.5,
         )
         for seed in seeds
     ]

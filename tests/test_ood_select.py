@@ -466,12 +466,19 @@ def row_ids(pool):
     return tuple(f"p{i}" for i in range(pool.shape[0]))
 
 
+def scored(pool, stats, index):
+    """Both distances of raw pool rows, as ``select_ood`` takes them."""
+    return mahalanobis_batch(stats, pool), knn_distance_batch(index, pool)
+
+
 def test_select_strict_thresholds_are_empty():
     train, pool, _ = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
     # d2 = 2 can never be strictly exceeded; nothing selects
-    report = select_ood(pool, stats, index, OodThresholds(1e18, 2.0, "manual"), row_ids(pool))
+    report = select_ood(
+        *scored(pool, stats, index), OodThresholds(1e18, 2.0, "manual"), row_ids(pool)
+    )
     assert report.selected.sum() == 0
     assert report.selected_indices.size == 0
 
@@ -480,7 +487,9 @@ def test_select_loose_thresholds_take_everything_far():
     train, pool, far_rows = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    report = select_ood(pool, stats, index, OodThresholds(1e-12, 0.0, "manual"), row_ids(pool))
+    report = select_ood(
+        *scored(pool, stats, index), OodThresholds(1e-12, 0.0, "manual"), row_ids(pool)
+    )
     # rows at +40 sigma clear any near-zero threshold on both axes
     assert set(far_rows).issubset(set(report.selected_indices))
     np.testing.assert_array_equal(
@@ -493,7 +502,7 @@ def test_select_flags_compose_by_and():
     stats = fit_gaussian(train)
     index = build_index(train)
     thr = OodThresholds(3.0, 0.05, "manual")
-    report = select_ood(pool, stats, index, thr, row_ids(pool))
+    report = select_ood(*scored(pool, stats, index), thr, row_ids(pool))
     np.testing.assert_array_equal(report.mahal > thr.d1, report.flag_mahal)
     np.testing.assert_array_equal(report.knn > thr.d2, report.flag_knn)
     np.testing.assert_array_equal(
@@ -508,9 +517,9 @@ def test_select_is_row_order_independent():
     thr = OodThresholds(3.0, 0.05, "manual")
     ids = row_ids(pool)
     perm = np.random.default_rng(9).permutation(pool.shape[0])
-    direct = select_ood(pool, stats, index, thr, ids=ids)
+    direct = select_ood(*scored(pool, stats, index), thr, ids=ids)
     shuffled = select_ood(
-        pool[perm], stats, index, thr, ids=tuple(ids[i] for i in perm)
+        *scored(pool[perm], stats, index), thr, ids=tuple(ids[i] for i in perm)
     )
     assert {direct.ids[i] for i in direct.selected_indices} == {
         shuffled.ids[i] for i in shuffled.selected_indices
@@ -521,20 +530,21 @@ def test_raising_thresholds_never_adds_rows():
     train, pool, _ = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    loose = select_ood(pool, stats, index, OodThresholds(2.0, 0.02, "manual"), row_ids(pool))
-    tight = select_ood(pool, stats, index, OodThresholds(4.0, 0.10, "manual"), row_ids(pool))
+    loose = select_ood(
+        *scored(pool, stats, index), OodThresholds(2.0, 0.02, "manual"), row_ids(pool)
+    )
+    tight = select_ood(
+        *scored(pool, stats, index), OodThresholds(4.0, 0.10, "manual"), row_ids(pool)
+    )
     assert set(tight.selected_indices).issubset(set(loose.selected_indices))
 
 
 def test_select_ood_dimension_check():
     train, pool, _ = planted_pool()
-    stats = fit_gaussian(train)
-    index = build_index(train)
+    mahal, knn = scored(pool, fit_gaussian(train), build_index(train))
     thr = OodThresholds(3.0, 0.05, "manual")
-    with pytest.raises(DimensionMismatchError, match="query"):
-        select_ood(pool[:, :2], stats, index, thr, row_ids(pool))
-    with pytest.raises(DimensionMismatchError, match="dims disagree"):
-        select_ood(pool, stats, build_index(train[:, :2]), thr, row_ids(pool))
+    with pytest.raises(DimensionMismatchError, match="disagree"):
+        select_ood(mahal[:-1], knn, thr, row_ids(pool)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +589,9 @@ def test_dasa_top_row_is_far_on_both_axes():
     train, pool, far_rows = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    report = select_ood(pool, stats, index, OodThresholds(1.0, 0.0, "manual"), row_ids(pool))
+    report = select_ood(
+        *scored(pool, stats, index), OodThresholds(1.0, 0.0, "manual"), row_ids(pool)
+    )
     order = dasa_order(report.mahal, report.knn)
     assert order[0] in set(far_rows)
 
@@ -593,7 +605,7 @@ def test_score_report_round_trip(tmp_path):
     stats = fit_gaussian(train)
     index = build_index(train)
     ids = tuple(f"p{i:03d}" for i in range(pool.shape[0]))
-    report = select_ood(pool, stats, index, OodThresholds(3.0, 0.05, "manual"), ids=ids)
+    report = select_ood(*scored(pool, stats, index), OodThresholds(3.0, 0.05, "manual"), ids=ids)
     path = tmp_path / "scores.tsv"
     write_score_report(report, path)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -168,6 +168,30 @@ def test_only_evaluate_model_grades():
     assert found == {}
 
 
+def test_only_distances_scores():
+    # harness._distances is the one scorer, for calibration and selection
+    # alike; it works in blocks and never holds the pool's representations,
+    # so a second caller of either distance could not drift from it
+    scoring = {"mahalanobis_batch", "knn_distance_batch"}
+    callers = []
+    for path in SOURCES:
+        tree = _tree(path)
+        scorer = set()
+        if path.name == "harness.py":
+            distances = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_distances"
+            )
+            scorer = {id(node) for node in ast.walk(distances)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in scorer:
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in scoring:
+                    callers.append(f"{path.name}:{node.lineno} {name}")
+    assert callers == []
+
+
 def test_scipy_loads_at_the_first_mahalanobis_distance():
     # scipy.linalg is most of the CLI's start-up time and only
     # mahalanobis_batch uses it, so importing darl must not load scipy
