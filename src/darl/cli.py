@@ -29,7 +29,6 @@ from .dataset import (
     Origin,
     generate_pretrain_superset,
     generate_synthetic,
-    join_labels,
     load_embeddings,
     load_labels,
     merge_datasets,
@@ -263,9 +262,7 @@ class _Run:
 
     def load_dataset(self, stem: str) -> LabeledDataset:
         matrix = self.load(f"data/{stem}.emb", load_embeddings)
-        return self.load(
-            f"data/{stem}.tsv", lambda path: join_labels(matrix, load_labels(path))
-        )
+        return self.load(f"data/{stem}.tsv", lambda path: load_labels(path, matrix))
 
     def header(self) -> str:
         return table_header(self.config, [self.config.seed])

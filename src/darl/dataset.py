@@ -15,7 +15,6 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -54,19 +53,15 @@ class Origin(enum.IntEnum):
     OOD = 1
 
 
-# token <-> member tables for the label TSV; codes index the token lists
+# token tables for the label TSV; codes index the token lists
 _GRADE_TOKENS = [grade.name for grade in sorted(RelevanceGrade)]
 _ORIGIN_TOKENS = [origin.name for origin in sorted(Origin)]
-_GRADES = {grade.name: grade for grade in RelevanceGrade}
-_ORIGINS = {origin.name: origin for origin in Origin}
-# (grade token, origin token) -> the label pair ``load_labels`` returns
-_LABELS = {
-    (g, o): (grade, origin) for g, grade in _GRADES.items() for o, origin in _ORIGINS.items()
+# "grade<TAB>origin", the end of a label line -> grade + 3 * origin
+_LABEL_CODES = {
+    f"{g}\t{o}": grade + 3 * origin
+    for grade, g in enumerate(_GRADE_TOKENS)
+    for origin, o in enumerate(_ORIGIN_TOKENS)
 }
-# label pair -> row of _PAIR_TABLE; its last row, for any other pair, is
-# out of range, so ``LabeledDataset`` rejects it
-_PAIR_CODES = {pair: code for code, pair in enumerate(_LABELS.values())}
-_PAIR_TABLE = np.array([*_LABELS.values(), (-1, -1)], dtype=np.int8)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -543,85 +538,79 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(data, tuple(ids))
 
 
+def _splits_a_label_line(text: str) -> bool:
+    """Whether ``text`` holds a tab, CR or LF, which end a label cell or line."""
+    return "\t" in text or "\n" in text or "\r" in text
+
+
 def write_labels(dataset: LabeledDataset, path: str | Path, rows=None) -> None:
     """Write the label TSV (id, grade token, origin token) of the rows at
-    ``rows`` in that order (default: every row), ``BLOCK_ROWS`` lines at a time."""
+    ``rows`` in that order (default: every row), ``BLOCK_ROWS`` lines at a time.
+
+    An id holding a tab, CR or LF is rejected before the file is opened.
+    """
     ids = np.asarray(dataset.ids, dtype=object)
+    blocks = _index_blocks(dataset.rows, rows)
+    for block in blocks:
+        picked = ids[block].tolist()
+        if _splits_a_label_line("".join(picked)):
+            bad = next(filter(_splits_a_label_line, picked))
+            raise DataFormatError(f"id cannot be written to a label file: {bad[:32]!r}")
     with open(path, "w", encoding="utf-8") as f:
         f.write(LABEL_HEADER + "\n")
-        for block in _index_blocks(dataset.rows, rows):
+        for block in blocks:
             grades = map(_GRADE_TOKENS.__getitem__, dataset.grades[block].tolist())
             origin = map(_ORIGIN_TOKENS.__getitem__, dataset.origin[block].tolist())
             lines = zip(ids[block].tolist(), grades, origin)
             f.write("\n".join(map("\t".join, lines)) + "\n")
 
 
-def load_labels(path: str | Path) -> dict[str, tuple[RelevanceGrade, Origin]]:
-    """Parse the label TSV into an ordered id -> (grade, origin) mapping.
+def load_labels(path: str | Path, matrix: EmbeddingMatrix) -> LabeledDataset:
+    """Label ``matrix`` from its label TSV, read one line at a time.
 
-    A well-formed file is parsed a column at a time, ``BLOCK_ROWS`` lines
-    at a time; any fault sends it through the line-by-line parse, which
-    names the first bad line.
+    The file holds one line per row of ``matrix``, in row order (blank lines
+    are skipped): each line's id must be the next row's id.  Every fault
+    names its line.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"label file is not UTF-8: {exc}") from exc
-    if not lines or lines[0] != LABEL_HEADER:
-        raise DataFormatError(f"label file missing header {LABEL_HEADER!r}")
-    rows = list(filter(None, lines[1:]))
-    out: dict[str, tuple[RelevanceGrade, Origin]] = {}
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS]
-        if set(map(str.count, block, repeat("\t"))) != {2}:
-            return _parse_label_lines(lines)
-        cells = "\t".join(block).split("\t")
-        try:
-            out.update(zip(cells[0::3], map(_LABELS.__getitem__, zip(cells[1::3], cells[2::3]))))
-        except KeyError:  # an unknown token
-            return _parse_label_lines(lines)
-        if len(out) != start + len(block):  # a duplicate id
-            return _parse_label_lines(lines)
-    return out
-
-
-def _parse_label_lines(lines: list[str]) -> dict[str, tuple[RelevanceGrade, Origin]]:
-    """Parse the label TSV one line at a time; raises at the first bad line."""
-    out: dict[str, tuple[RelevanceGrade, Origin]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise DataFormatError(f"line {lineno}: expected 3 columns, got {len(cells)}")
-        rid, grade, origin = cells
-        if rid in out:
-            raise DuplicateIdError(f"line {lineno}: duplicate id {rid!r}")
-        try:
-            out[rid] = (_GRADES[grade], _ORIGINS[origin])
-        except KeyError:
-            kind, token = ("grade", grade) if grade not in _GRADES else ("origin", origin)
-            raise DataFormatError(f"unknown {kind} token {token!r}") from None
-    return out
-
-
-def join_labels(
-    matrix: EmbeddingMatrix, labels: dict[str, tuple[RelevanceGrade, Origin]]
-) -> LabeledDataset:
-    """Label an embedding matrix from its ``load_labels`` table, by row id."""
-    try:
-        pairs = map(labels.__getitem__, matrix.ids)
-        codes = np.fromiter(map(_PAIR_CODES.get, pairs, repeat(-1)), np.intp, matrix.rows)
-    except KeyError:
-        missing = [rid for rid in matrix.ids if rid not in labels]
+    ids, n = matrix.ids, matrix.rows
+    codes = np.empty(n, dtype=np.int8)
+    row = 0
+    with open(path, "rb") as f:
+        if f.readline().rstrip(b"\r\n") != LABEL_HEADER.encode():
+            raise DataFormatError(f"line 1: label file missing header {LABEL_HEADER!r}")
+        lineno = 1
+        for lineno, raw in enumerate(f, start=2):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"line {lineno}: label file is not UTF-8: {exc}") from None
+            if not line:
+                continue
+            rid, _, pair = line.partition("\t")
+            code = _LABEL_CODES.get(pair)
+            if code is None:
+                cells = line.split("\t")
+                if len(cells) != 3:
+                    fault = f"expected 3 columns, got {len(cells)}"
+                elif cells[1] in _GRADE_TOKENS:
+                    fault = f"unknown origin token {cells[2]!r}"
+                else:
+                    fault = f"unknown grade token {cells[1]!r}"
+            elif row == n:
+                fault = f"extra row {rid!r}, the embeddings have {n} rows"
+            elif rid != ids[row]:
+                fault = f"id {rid!r} out of order, expected {ids[row]!r}"
+            else:
+                codes[row] = code
+                row += 1
+                continue
+            raise DataFormatError(f"line {lineno}: {fault}")
+    if row != n:
         raise DataFormatError(
-            f"{len(missing)} rows missing labels (first: {missing[0]!r})"
-        ) from None
-    if len(labels) != matrix.rows:
-        raise DataFormatError(
-            f"label file has {len(labels)} rows, embeddings have {matrix.rows}"
+            f"line {lineno + 1}: {n - row} rows missing labels (first: {ids[row]!r})"
         )
-    return LabeledDataset(matrix, *_PAIR_TABLE[codes].T)
+    origin, grades = np.divmod(codes, 3)
+    return LabeledDataset(matrix, grades, origin)
 
 
 # ---------------------------------------------------------------------------

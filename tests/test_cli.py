@@ -464,6 +464,23 @@ def test_load_error_names_the_file(
     assert "Traceback" not in err
 
 
+def test_label_rows_out_of_embedding_order_name_the_line(
+    tiny_config_path, pipeline_run, tmp_path, capsys
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(pipeline_run, run_dir)
+    path = run_dir / "data" / "select_truth.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("".join(lines), encoding="utf-8")
+    code = main(["select", "--config", tiny_config_path, "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}: line 2: id " in err
+    assert "out of order" in err
+    assert "Traceback" not in err
+
+
 def test_interrupted_write_keeps_the_old_artifact(
     tiny_config_path, pipeline_run, tmp_path, monkeypatch
 ):

@@ -23,7 +23,6 @@ from darl.dataset import (
     SyntheticConfig,
     generate_pretrain_superset,
     generate_synthetic,
-    join_labels,
     load_embeddings,
     load_labels,
     merge_datasets,
@@ -56,22 +55,26 @@ def _label_file(tmp_path, rows):
     return path
 
 
+def _id_matrix(*ids):
+    """A one-column matrix of zeros with the given row ids."""
+    return EmbeddingMatrix(np.zeros((len(ids), 1), dtype=np.float32), ids)
+
+
 def test_grade_token_round_trip(tmp_path):
     path = _label_file(tmp_path, [f"{g.name}\t{g.name}\tID\n" for g in RelevanceGrade])
-    for g in RelevanceGrade:
-        assert load_labels(path)[g.name][0] is g
+    back = load_labels(path, _id_matrix(*(g.name for g in RelevanceGrade)))
+    assert back.grades.tolist() == [int(g) for g in RelevanceGrade]
     with pytest.raises(DataFormatError) as err:
-        load_labels(_label_file(tmp_path, ["ok\tIR\tOOD\n", "a\tXX\tID\n"]))
-    assert str(err.value) == "unknown grade token 'XX'"
+        load_labels(_label_file(tmp_path, ["ok\tIR\tOOD\n", "a\tXX\tID\n"]), _id_matrix("ok", "a"))
+    assert str(err.value) == "line 3: unknown grade token 'XX'"
 
 
 def test_origin_token_round_trip(tmp_path):
     path = _label_file(tmp_path, ["a\tSR\tID\n", "b\tSR\tOOD\n"])
-    assert load_labels(path)["a"][1] is Origin.ID
-    assert load_labels(path)["b"][1] is Origin.OOD
+    assert load_labels(path, _id_matrix("a", "b")).origin.tolist() == [Origin.ID, Origin.OOD]
     with pytest.raises(DataFormatError) as err:
-        load_labels(_label_file(tmp_path, ["ok\tIR\tOOD\n", "a\tSR\tid\n"]))
-    assert str(err.value) == "unknown origin token 'id'"
+        load_labels(_label_file(tmp_path, ["ok\tIR\tOOD\n", "a\tSR\tid\n"]), _id_matrix("ok", "a"))
+    assert str(err.value) == "line 3: unknown origin token 'id'"
 
 
 # ---------------------------------------------------------------------------
@@ -462,25 +465,26 @@ def test_load_embeddings_names_faults_past_the_first_block(tmp_path):
 def test_load_labels_names_faults_past_the_first_block(tmp_path):
     rows = BLOCK_ROWS + 5
     path = tmp_path / "labels.tsv"
-    write_labels(make_dataset(rows, 2, seed=9), path)
+    d = make_dataset(rows, 2, seed=9)
+    write_labels(d, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     line = rows - 1  # a line past the first block (line 1 is the header)
     rid, grade, origin = lines[line].split("\t")
     faults = [
-        (f"{rid}\tXX\t{origin}", DataFormatError, "unknown grade token 'XX'"),
-        (f"{rid}\t{grade}", DataFormatError, f"line {line + 1}: expected 3 columns, got 2"),
-        (f"row-0000\t{grade}\t{origin}", DuplicateIdError,
-         f"line {line + 1}: duplicate id 'row-0000'"),
+        (f"{rid}\tXX\t{origin}", f"line {line + 1}: unknown grade token 'XX'"),
+        (f"{rid}\t{grade}", f"line {line + 1}: expected 3 columns, got 2"),
+        (f"row-0000\t{grade}\t{origin}",
+         f"line {line + 1}: id 'row-0000' out of order, expected {rid!r}"),
     ]
-    for text, error, message in faults:
+    for text, message in faults:
         path.write_text("\n".join([*lines[:line], text, *lines[line + 1 :]]) + "\n",
                         encoding="utf-8")
-        with pytest.raises(error) as err:
-            load_labels(path)
+        with pytest.raises(DataFormatError) as err:
+            load_labels(path, d.embeddings)
         assert str(err.value) == message
     path.write_bytes("\n".join(lines[:line]).encode("utf-8") + b"\n\xff\tSR\tID\n")
-    with pytest.raises(DataFormatError, match="label file is not UTF-8"):
-        load_labels(path)
+    with pytest.raises(DataFormatError, match=f"line {line + 1}: label file is not UTF-8"):
+        load_labels(path, d.embeddings)
 
 
 def test_load_embeddings_never_holds_the_payload_twice(tmp_path):
@@ -490,6 +494,16 @@ def test_load_embeddings_never_holds_the_payload_twice(tmp_path):
     # the payload, its ids and block-sized work: under the float64 size of
     # the same rows, which reading the file and copying its payload exceeds
     assert traced_peak(load_embeddings, path) < rows * dims * 8
+
+
+def test_load_labels_holds_a_few_bytes_per_row(tmp_path):
+    rows = 20_000
+    d = make_dataset(rows, 2, seed=10, prefix="pool")
+    path = tmp_path / "pool.tsv"
+    write_labels(d, path)
+    # the int8 codes, the grade and origin arrays and one line at a time:
+    # no table keyed by id and no list of the file's lines
+    assert traced_peak(load_labels, path, d.embeddings) < rows * 16
 
 
 def test_embeddings_payload_layout(tmp_path):
@@ -618,32 +632,62 @@ def test_labels_round_trip(tmp_path):
     d = make_dataset(20, 3, seed=1)
     path = tmp_path / "labels.tsv"
     write_labels(d, path)
-    table = load_labels(path)
-    assert list(table) == list(d.ids)
-    for i, rid in enumerate(d.ids):
-        grade, origin = table[rid]
-        assert int(grade) == d.grades[i]
-        assert int(origin) == d.origin[i]
+    back = load_labels(path, d.embeddings)
+    assert back.embeddings is d.embeddings
+    for got, want in ((back.grades, d.grades), (back.origin, d.origin)):
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+
+
+def test_labels_round_trip_ids_that_are_line_breaks_elsewhere(tmp_path):
+    # str.splitlines breaks lines at these; a label line ends only at LF
+    ids = ("a\u2028b", "c\x85d", "e\x0cf", "\x0c")
+    d = LabeledDataset(_id_matrix(*ids), np.array([2, 1, 0, 2]), np.array([0, 1, 1, 0]))
+    path = tmp_path / "labels.tsv"
+    write_labels(d, path)
+    back = load_labels(path, d.embeddings)
+    np.testing.assert_array_equal(back.grades, d.grades)
+    np.testing.assert_array_equal(back.origin, d.origin)
+
+
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+def test_write_labels_rejects_an_id_that_would_split_its_line(tmp_path, char):
+    d = make_dataset(BLOCK_ROWS + 3, 1, seed=2)
+    bad = f"row{char}x"
+    ids = d.ids[:-1] + (bad,)
+    d = LabeledDataset(EmbeddingMatrix(d.embeddings.data, ids), d.grades, d.origin)
+    path = tmp_path / "labels.tsv"
+    with pytest.raises(DataFormatError) as err:
+        write_labels(d, path)
+    assert str(err.value) == f"id cannot be written to a label file: {bad!r}"
+    assert not path.exists()
+    write_labels(d, path, rows=range(BLOCK_ROWS + 2))  # the rows without it
+    assert path.exists()
 
 
 def _labels_line_by_line(path):
     """Reference parse of a well-formed label TSV: one split per line."""
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    rows = (line.split("\t") for line in lines if line)
-    return {rid: (RelevanceGrade[g], Origin[o]) for rid, g, o in rows}
+    rows = [line.split("\t") for line in lines if line]
+    grades = [RelevanceGrade[g] for _, g, _ in rows]
+    origin = [Origin[o] for _, _, o in rows]
+    return tuple(rid for rid, _, _ in rows), grades, origin
 
 
 def test_load_labels_matches_a_line_by_line_parse(tmp_path):
     d = make_dataset(10_000, 2, seed=4)
     path = tmp_path / "labels.tsv"
     write_labels(d, path)
-    table = load_labels(path)
-    assert list(table.items()) == list(_labels_line_by_line(path).items())
-    assert list(table) == list(d.ids)
-    # blank lines are skipped wherever they sit
+    ids, grades, origin = _labels_line_by_line(path)
+    assert ids == d.ids
+    back = load_labels(path, d.embeddings)
+    assert back.grades.tolist() == grades and back.origin.tolist() == origin
+    # blank lines are skipped wherever they sit, and CRLF ends a line too
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([*lines[:500], "", *lines[500:], "", ""]), encoding="utf-8")
-    assert list(load_labels(path).items()) == list(table.items())
+    np.testing.assert_array_equal(load_labels(path, d.embeddings).grades, back.grades)
+    path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+    np.testing.assert_array_equal(load_labels(path, d.embeddings).origin, back.origin)
 
 
 @pytest.mark.parametrize(
@@ -652,7 +696,8 @@ def test_load_labels_matches_a_line_by_line_parse(tmp_path):
         # a four-cell line followed by a two-cell line still splits into triples
         ("a\tSR\tID\tb\nIR\tID\n", DataFormatError, "line 2: expected 3 columns, got 4"),
         ("a\tSR\tID\n\nb\tSR\n", DataFormatError, "line 4: expected 3 columns, got 2"),
-        ("a\tSR\tID\nb\tIR\tID\na\tWR\tOOD\n", DuplicateIdError, "line 4: duplicate id 'a'"),
+        ("a\tSR\tID\nb\tIR\tID\na\tWR\tOOD\n", DataFormatError,
+         "line 4: id 'a' out of order, expected 'c'"),
         ("a\tSR\tID\nb\tOK\tID\n", DataFormatError, "unknown grade token 'OK'"),
         ("a\tSR\tid\n", DataFormatError, "unknown origin token 'id'"),
     ],
@@ -661,27 +706,32 @@ def test_load_labels_names_the_bad_line(tmp_path, body, error, message):
     path = tmp_path / "bad.tsv"
     path.write_text("id\tgrade\torigin\n" + body, encoding="utf-8")
     with pytest.raises(error, match=re.escape(message)):
-        load_labels(path)
+        load_labels(path, _id_matrix("a", "b", "c"))
 
 
 def test_load_labels_requires_header(tmp_path):
     path = tmp_path / "noheader.tsv"
     path.write_text("a\tSR\tID\n", encoding="utf-8")
-    with pytest.raises(DataFormatError):
-        load_labels(path)
+    with pytest.raises(DataFormatError, match="line 1: label file missing header"):
+        load_labels(path, _id_matrix("a"))
+    path.write_bytes(b"")
+    with pytest.raises(DataFormatError, match="line 1: label file missing header"):
+        load_labels(path, _id_matrix())
 
 
 def test_load_labels_rejects_bad_rows(tmp_path):
     path = tmp_path / "bad.tsv"
+    matrix = _id_matrix("a", "b")
     path.write_text("id\tgrade\torigin\na\tSR\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
-        load_labels(path)
+        load_labels(path, matrix)
+    # a duplicate id is out of order: the embeddings' ids are unique
     path.write_text("id\tgrade\torigin\na\tSR\tID\na\tIR\tID\n", encoding="utf-8")
-    with pytest.raises(DuplicateIdError):
-        load_labels(path)
+    with pytest.raises(DataFormatError, match="line 3: id 'a' out of order, expected 'b'"):
+        load_labels(path, matrix)
     path.write_text("id\tgrade\torigin\na\tZZ\tID\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
-        load_labels(path)
+        load_labels(path, matrix)
 
 
 def test_write_labels_bytes(tmp_path):
@@ -694,38 +744,15 @@ def test_write_labels_bytes(tmp_path):
     )
 
 
-def test_load_labeled_dataset_joins_by_id(tmp_path):
+def test_load_labels_rejects_a_permuted_file(tmp_path):
     d = make_dataset(10, 3, seed=2)
-    emb_path = tmp_path / "d.emb"
     lab_path = tmp_path / "d.tsv"
-    write_embeddings(d.embeddings, emb_path)
-    # permute the label rows; the join must follow embedding row order
+    # the label rows reversed: the file must follow embedding row order
     lines = write_labels_lines(d)
     header, body = lines[0], lines[1:]
     lab_path.write_text("\n".join([header] + body[::-1]) + "\n", encoding="utf-8")
-    back = join_labels(load_embeddings(emb_path), load_labels(lab_path))
-    assert back.ids == d.ids
-    np.testing.assert_array_equal(back.grades, d.grades)
-    np.testing.assert_array_equal(back.origin, d.origin)
-
-
-def test_join_labels_matches_a_per_row_build():
-    d = make_dataset(10_000, 2, seed=6)
-    rng = np.random.default_rng(6)
-    pairs = list(zip(map(RelevanceGrade, d.grades.tolist()), map(Origin, d.origin.tolist())))
-    # the table's row order need not follow the matrix's
-    labels = {d.ids[i]: pairs[i] for i in rng.permutation(d.rows)}
-    codes = np.array([labels[rid] for rid in d.ids], dtype=np.int8).reshape(-1, 2).T
-    joined = join_labels(d.embeddings, labels)
-    for got, want in zip((joined.grades, joined.origin), codes):
-        assert got.dtype == want.dtype == np.int8
-        np.testing.assert_array_equal(got, want)
-    with pytest.raises(DataFormatError, match=re.escape("2 rows missing labels (first: 'row-0003')")):
-        join_labels(d.embeddings, {rid: labels[rid] for rid in d.ids if rid not in d.ids[3:5]})
-    with pytest.raises(DataFormatError, match="label file has 10001 rows, embeddings have 10000"):
-        join_labels(d.embeddings, {**labels, "extra": pairs[0]})
-    with pytest.raises(DataFormatError, match="grade codes outside"):
-        join_labels(d.embeddings, {**labels, d.ids[7]: (3, 0)})
+    with pytest.raises(DataFormatError, match="line 2: id 'row-0009' out of order"):
+        load_labels(lab_path, d.embeddings)
 
 
 def write_labels_lines(dataset: LabeledDataset) -> list[str]:
@@ -744,14 +771,15 @@ def test_load_labeled_dataset_rejects_missing_and_extra_labels(tmp_path):
     lab_path = tmp_path / "d.tsv"
     write_embeddings(d.embeddings, emb_path)
     lines = write_labels_lines(d)
-    lab_path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-    with pytest.raises(DataFormatError):
-        join_labels(load_embeddings(emb_path), load_labels(lab_path))
-    lab_path.write_text(
-        "\n".join(lines + ["extra\tSR\tID"]) + "\n", encoding="utf-8"
-    )
-    with pytest.raises(DataFormatError):
-        join_labels(load_embeddings(emb_path), load_labels(lab_path))
+    cases = [
+        (lines[:-2], "line 4: 2 rows missing labels (first: 'row-0002')"),
+        (lines[:2] + lines[3:], "line 3: id 'row-0002' out of order, expected 'row-0001'"),
+        (lines + ["extra\tSR\tID"], "line 6: extra row 'extra', the embeddings have 4 rows"),
+    ]
+    for body, message in cases:
+        lab_path.write_text("\n".join(body) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_labels(lab_path, load_embeddings(emb_path))
 
 
 # ---------------------------------------------------------------------------

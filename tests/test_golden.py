@@ -18,7 +18,7 @@ import pytest
 
 from test_cli import TINY_JSON
 from darl.cli import main
-from darl.dataset import SyntheticConfig, load_labels
+from darl.dataset import SyntheticConfig, load_embeddings
 from darl.harness import ExperimentConfig, prepare
 from darl.lpft import StagePlan
 from darl.ood_select import ThresholdPolicy
@@ -196,6 +196,6 @@ def test_cli_selection_agrees_with_harness(golden_runs, mode):
     thresholds = json.loads((run_dir / "thresholds.json").read_text(encoding="utf-8"))
     assert thresholds["policy"] == mode
     assert (thresholds["d1"], thresholds["d2"]) == (prep.thresholds.d1, prep.thresholds.d2)
-    d_aug_ids = tuple(load_labels(run_dir / "data" / "d_aug.tsv"))
+    d_aug_ids = load_embeddings(run_dir / "data" / "d_aug.emb").ids
     assert d_aug_ids == prep.d_aug.ids
     assert len(d_aug_ids) > 0
