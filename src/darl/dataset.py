@@ -79,14 +79,19 @@ def _first_non_finite(data: np.ndarray) -> int | None:
     return None
 
 
-def _has_duplicate(ids: tuple[str, ...]) -> bool:
-    """Whether two ids are equal.  Only ids whose hashes collide are put in
-    a set: a set of every id would be a pool-sized table."""
+def _first_duplicate(ids: tuple[str, ...]) -> str | None:
+    """The first id equal to an earlier one, or ``None``.  Only ids whose
+    hashes collide go in a set: a set of every id would be pool-sized."""
     hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
     hashes.sort()
     clashes = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
-    suspects = [rid for rid in ids if hash(rid) in clashes] if clashes else []
-    return len(set(suspects)) != len(suspects)
+    seen = set()
+    for rid in ids if clashes else ():
+        if hash(rid) in clashes:
+            if rid in seen:
+                return rid
+            seen.add(rid)
+    return None
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,9 @@ class EmbeddingMatrix:
             raise DimensionMismatchError(
                 f"{len(ids)} ids for {data.shape[0]} rows"
             )
-        if _has_duplicate(ids):
-            raise DuplicateIdError("duplicate row ids in embedding matrix")
+        duplicate = _first_duplicate(ids)
+        if duplicate is not None:
+            raise DuplicateIdError(f"duplicate row id {duplicate!r} in embedding matrix")
         object.__setattr__(self, "data", _freeze(data))
         object.__setattr__(self, "ids", ids)
 
@@ -626,9 +632,6 @@ def merge_datasets(d_id: LabeledDataset, d_ood: LabeledDataset) -> LabeledDatase
         return d_ood
     if a.dims != b.dims:
         raise DimensionMismatchError(f"dims differ: {a.dims} vs {b.dims}")
-    overlap = set(a.ids) & set(b.ids)
-    if overlap:
-        raise DuplicateIdError(f"overlapping ids, e.g. {sorted(overlap)[0]!r}")
     merged = EmbeddingMatrix(
         np.concatenate([a.data, b.data], axis=0), a.ids + b.ids
     )

@@ -122,12 +122,8 @@ def table_header(config: ExperimentConfig, seeds) -> str:
 class PreparedCorpus:
     """Everything downstream stages share for one (config, seed) pair."""
 
-    config: ExperimentConfig
-    seed: int
     corpus: SyntheticCorpus
     backbone: ModelParams
-    stats: GaussianStats
-    index: NeighborIndex
     thresholds: OodThresholds
     select_truth: LabeledDataset
     val_ood: LabeledDataset
@@ -242,17 +238,11 @@ def prepare(config: ExperimentConfig, seed: int) -> PreparedCorpus:
         corpus.pool_truth.take, split_pool(corpus.pool_truth, config.eval_fraction, seed)
     )
     stats, index = fit_space(backbone, corpus.train_id)
-    thresholds = calibrate(
-        backbone, stats, index, corpus.val_id, val_ood, config.policy
-    )
+    thresholds = calibrate(backbone, stats, index, corpus.val_id, val_ood, config.policy)
     report, d_aug = select_rows(backbone, stats, index, thresholds, select_truth)
     return PreparedCorpus(
-        config=config,
-        seed=seed,
         corpus=corpus,
         backbone=backbone,
-        stats=stats,
-        index=index,
         thresholds=thresholds,
         select_truth=select_truth,
         val_ood=val_ood,

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RelevanceGrade
 from .errors import (
     BadMagicError,
     CheckpointError,
@@ -169,12 +168,6 @@ def init_model(arch: ModelArch, seed: int) -> ModelParams:
     return ModelParams(arch, vec)
 
 
-class ForwardResult(NamedTuple):
-    probs: np.ndarray
-    logits: np.ndarray
-    reps: np.ndarray
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
     d = 1.0 + e
@@ -192,8 +185,8 @@ def _hidden(views, a: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
     return a
 
 
-def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
-    """Probabilities, logits, and representations for a batch of inputs.
+def forward_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Relevance logits for a batch of inputs.
 
     One pass, never blocks: the head's product rounds differently per row count.
     """
@@ -201,15 +194,14 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
     views = _layer_views(params.arch, params.values)
     reps = _hidden(views, batch, [np.empty((len(batch), w)) for w in params.arch.hidden])
     head_w, head_b = views[-1]
-    logits = (reps @ head_w + head_b)[:, 0]
-    return ForwardResult(probs=_sigmoid(logits), logits=logits, reps=reps)
+    return (reps @ head_w + head_b)[:, 0]
 
 
 def representations(params: ModelParams, x: np.ndarray, block: int = BLOCK_ROWS) -> np.ndarray:
     """Penultimate-layer activations, the space used for OOD scoring.
 
     Only the hidden layers run, in ``util.row_blocks`` of ``block`` rows, so
-    each row matches ``forward_batch`` bit for bit.
+    each row matches a single unblocked pass bit for bit.
     """
     arch = params.arch
     rows = finite_rows(x, arch.input_dims, "model input", widen=False)
@@ -223,7 +215,7 @@ def representations(params: ModelParams, x: np.ndarray, block: int = BLOCK_ROWS)
 
 
 def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    return forward_batch(params, x).probs
+    return _sigmoid(forward_batch(params, x))
 
 
 @dataclass(frozen=True)
@@ -241,14 +233,6 @@ class CalibrationPrior:
     def __post_init__(self) -> None:
         if not (0.0 < self.rho < 1.0 / 3.0):
             raise ConfigError("rho", "must lie strictly between 0 and 1/3")
-
-    def table(self) -> dict[RelevanceGrade, tuple[float, float]]:
-        r = self.rho
-        return {
-            RelevanceGrade.IR: (1.0 - r, r),
-            RelevanceGrade.WR: (2.0 * r, 1.0 - 2.0 * r),
-            RelevanceGrade.SR: (r, 1.0 - r),
-        }
 
     def positive_mass(self) -> np.ndarray:
         """Prior mass on the positive outcome, indexed by grade value."""
@@ -269,6 +253,10 @@ class LossValues(NamedTuple):
 
 class StageObjective:
     """Mean calibrated loss and its exact gradient over one stage's rows.
+
+    total = ce + kl, where ce is binary cross-entropy against the hard
+    target and kl is the divergence from the predicted Bernoulli to the
+    grade prior (natural log); no prior drops the kl term.
 
     Built once per stage: it checks the rows and grades, looks up each row's
     loss targets and allocates buffers for ``batch_size`` rows.  It reads the
@@ -371,27 +359,6 @@ class StageObjective:
                 np.add.reduce(delta, axis=0, out=gb)
                 if layer > 0:
                     delta = delta @ self._views[layer][0].T
-
-
-def loss(
-    params: ModelParams, x: np.ndarray, grades: np.ndarray, prior: CalibrationPrior | None
-) -> LossValues:
-    """Mean calibrated training loss over a batch.
-
-    total = ce + kl where ce is binary cross-entropy against the hard
-    target and kl is the divergence from the predicted Bernoulli to the
-    grade prior (natural log).  A missing prior drops the kl term.
-    """
-    return StageObjective(params, x, grades, prior)(backward=False)
-
-
-def loss_and_grad(
-    params: ModelParams, x: np.ndarray, grades: np.ndarray,
-    prior: CalibrationPrior | None, trainable: str = "all",
-) -> tuple[LossValues, np.ndarray]:
-    """Loss plus its exact gradient: full parameter length, zero outside ``trainable``."""
-    objective = StageObjective(params, x, grades, prior, trainable)
-    return objective(), objective.grad
 
 
 @dataclass

@@ -36,10 +36,9 @@ from darl.model import (
     CalibrationPrior,
     ModelArch,
     ModelParams,
+    StageObjective,
     init_model,
     interpolate,
-    loss,
-    loss_and_grad,
     representations,
     trainable_slice,
 )
@@ -106,7 +105,9 @@ def test_criterion_02_gradients_match_finite_differences():
                 None if case % 2 == 0 else CalibrationPrior(rho=0.1 + 0.1 * (case % 3))
             )
             trainable = trainables[case % 3]
-            _, grad = loss_and_grad(params, x, grades, prior, trainable=trainable)
+            objective = StageObjective(params, x, grades, prior, trainable)
+            objective()
+            grad = objective.grad
 
             fd = np.zeros(arch.param_count)
             for i in range(arch.param_count):
@@ -114,10 +115,9 @@ def test_criterion_02_gradients_match_finite_differences():
                 up[i] += h
                 down = params.values.copy()
                 down[i] -= h
-                fd[i] = (
-                    loss(params.replace_values(up), x, grades, prior).total
-                    - loss(params.replace_values(down), x, grades, prior).total
-                ) / (2.0 * h)
+                above = StageObjective(params.replace_values(up), x, grades, prior)
+                below = StageObjective(params.replace_values(down), x, grades, prior)
+                fd[i] = (above(backward=False).total - below(backward=False).total) / (2.0 * h)
 
             region = trainable_slice(arch, trainable)
             mask = np.zeros(arch.param_count, dtype=bool)
@@ -147,7 +147,8 @@ def test_criterion_03_interpolation_endpoints_and_midpoint():
 
 def test_criterion_04_calibration_prior_table_and_kl():
     """The rho = 0.1 prior table and the worked divergence value hold."""
-    table = CalibrationPrior(rho=0.1).table()
+    q1 = CalibrationPrior(rho=0.1).positive_mass()
+    table = {grade: (1.0 - q1[grade], q1[grade]) for grade in RelevanceGrade}
     assert table[RelevanceGrade.IR] == pytest.approx((0.9, 0.1), rel=1e-12)
     assert table[RelevanceGrade.WR] == pytest.approx((0.2, 0.8), rel=1e-12)
     assert table[RelevanceGrade.SR] == pytest.approx((0.1, 0.9), rel=1e-12)
@@ -156,11 +157,11 @@ def test_criterion_04_calibration_prior_table_and_kl():
     arch = ModelArch(input_dims=3, hidden=(4,))
     zero = ModelParams(arch, np.zeros(arch.param_count))
     x = np.zeros((2, 3))
-    worked = loss(zero, x, np.zeros(2, dtype=int), CalibrationPrior(rho=0.1))
+    worked = StageObjective(zero, x, np.zeros(2, dtype=int), CalibrationPrior(rho=0.1))()
     assert worked.kl == pytest.approx(0.51083, abs=1e-5)
 
     # a 0.5 score against the (0.5, 0.5) row diverges by nothing
-    matched = loss(zero, x, np.ones(2, dtype=int), CalibrationPrior(rho=0.25))
+    matched = StageObjective(zero, x, np.ones(2, dtype=int), CalibrationPrior(rho=0.25))()
     assert abs(matched.kl) < 1e-15
 
 

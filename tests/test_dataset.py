@@ -93,7 +93,7 @@ def test_embedding_matrix_rejects_bad_inputs():
         EmbeddingMatrix(np.zeros(3), ("a",))
     with pytest.raises(DimensionMismatchError):
         EmbeddingMatrix(good, ("a",))
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(DuplicateIdError, match="duplicate row id 'a' in embedding matrix"):
         EmbeddingMatrix(good, ("a", "a"))
     bad = good.copy()
     bad[0, 0] = np.nan
@@ -112,11 +112,14 @@ def test_duplicate_ids_are_told_from_hash_collisions():
     data = np.zeros((3, 1), dtype=np.float32)
     ids = tuple(map(_CollidingId, "abc"))
     assert EmbeddingMatrix(data, ids).ids == ids
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(DuplicateIdError, match="'a'"):
         EmbeddingMatrix(data, tuple(map(_CollidingId, "aba")))
+    # the error names the first row whose id repeats an earlier one
+    with pytest.raises(DuplicateIdError, match="'a'"):
+        EmbeddingMatrix(np.zeros((4, 1)), tuple(map(_CollidingId, "baab")))
     # a duplicate past the first block of rows
     rows = BLOCK_ROWS + 3
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(DuplicateIdError, match="'r7'"):
         EmbeddingMatrix(np.zeros((rows, 1)), tuple(f"r{i}" for i in range(rows - 1)) + ("r7",))
 
 
@@ -443,7 +446,7 @@ def _embedding_faults(blob: bytes, rows: int, dims: int, row: int):
         ("bad-utf8", bytes(bad_utf8), DataFormatError,
          f"id is not valid UTF-8: {utf8_error}", id_start),
         ("duplicate-id", bytes(duplicate), DuplicateIdError,
-         "duplicate row ids in embedding matrix", None),
+         "duplicate row id 'row-0000' in embedding matrix", None),
     ]
 
 
@@ -812,7 +815,7 @@ def test_merge_with_empty_is_identity():
 
 def test_merge_rejects_conflicts():
     a = make_dataset(4, 2, seed=9, prefix="a")
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(DuplicateIdError, match="duplicate row id 'a-0000'"):
         merge_datasets(a, a.take([0]))
     b = make_dataset(4, 3, seed=10, prefix="b")
     with pytest.raises(DimensionMismatchError):

@@ -37,11 +37,10 @@ from darl.model import (
     LossValues,
     ModelArch,
     ModelParams,
+    StageObjective,
     adam_step,
     init_model,
     init_opt,
-    loss,
-    loss_and_grad,
     predict_scores,
 )
 from darl.util import sub_rng
@@ -190,7 +189,7 @@ def test_run_training_rejects_a_diverging_stage():
 def _reference_training(
     params, x, grades, prior, epochs, lr, trainable, batch_size, seed, stage
 ):
-    """The loop ``run_training`` must reproduce: one checked call per batch."""
+    """The loop ``run_training`` must reproduce: one fresh objective per batch."""
     arch = params.arch
     opt = init_opt(arch, lr=lr, trainable=trainable)
     vec = params.values.copy()
@@ -202,11 +201,11 @@ def _reference_training(
         total = np.zeros(3)
         for start in range(0, n, batch_size):
             take = perm[start : start + batch_size]
-            values, grad = loss_and_grad(
-                ModelParams(arch, vec.view()), x[take], grades[take], prior,
-                trainable=trainable,
+            objective = StageObjective(
+                ModelParams(arch, vec.view()), x[take], grades[take], prior, trainable
             )
-            adam_step(opt, vec, grad)
+            values = objective()
+            adam_step(opt, vec, objective.grad)
             total += np.array(values) * take.size
         trace.append(LossValues(*(total / n)))
     return ModelParams(arch, vec), trace
@@ -348,8 +347,8 @@ def test_finetune_moves_backbone_and_lowers_loss():
     assert not np.array_equal(phi_ft.backbone, phi_lp.backbone)
     assert len(trace) == 20
     x = data.embeddings.data.astype(np.float64)
-    full_lp = loss(phi_lp, x, data.grades, None).total
-    full_ft = loss(phi_ft, x, data.grades, None).total
+    full_lp = StageObjective(phi_lp, x, data.grades, None)(backward=False).total
+    full_ft = StageObjective(phi_ft, x, data.grades, None)(backward=False).total
     assert full_ft <= full_lp + 1e-6
 
 
@@ -362,7 +361,7 @@ def test_pretrained_backbone_beats_random_init_for_probing():
     gaps = []
     for seed in (11, 12, 13):
         prep = prepare(ExperimentConfig(), seed)
-        plan = prep.config.plan
+        plan = ExperimentConfig().plan
         train_id = prep.corpus.train_id
         val = prep.corpus.val_id
         x_val = val.embeddings.data.astype(np.float64)

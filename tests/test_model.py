@@ -21,14 +21,13 @@ from darl.model import (
     CalibrationPrior,
     ModelArch,
     ModelParams,
+    StageObjective,
     adam_step,
     forward_batch,
     init_model,
     init_opt,
     interpolate,
     load_checkpoint,
-    loss,
-    loss_and_grad,
     predict_scores,
     representations,
     save_checkpoint,
@@ -131,10 +130,10 @@ def test_forward_matches_manual_network():
     x = np.array([[0.3, 0.7], [-1.0, 2.0]])
     hidden = np.tanh(x + [0.5, -0.5])
     want_logits = hidden[:, 0] - hidden[:, 1] + 0.25
-    out = forward_batch(params, x)
-    np.testing.assert_allclose(out.logits, want_logits, rtol=1e-15)
-    np.testing.assert_allclose(out.reps, hidden, rtol=1e-15)
-    np.testing.assert_allclose(out.probs, 1.0 / (1.0 + np.exp(-want_logits)), rtol=1e-12)
+    np.testing.assert_allclose(forward_batch(params, x), want_logits, rtol=1e-15)
+    np.testing.assert_allclose(representations(params, x), hidden, rtol=1e-15)
+    want_probs = 1.0 / (1.0 + np.exp(-want_logits))
+    np.testing.assert_allclose(predict_scores(params, x), want_probs, rtol=1e-12)
 
 
 def test_zero_params_score_one_half():
@@ -168,13 +167,13 @@ def test_representations_have_last_hidden_width():
 
 
 @pytest.mark.parametrize("n", [1, 2, 4097, 8193, 160_001, 200_000])
-def test_representations_match_forward_batch_bitwise(n):
+def test_representations_match_one_unblocked_pass_bitwise(n):
     # representations runs in fixed row blocks; no block size may change a row
     params = init_model(ModelArch(), seed=n)
     x = np.random.default_rng(n).standard_normal((n, 32)).astype(np.float32)
     reps = representations(params, x)
     assert reps.dtype == np.float64
-    assert reps.tobytes() == forward_batch(params, x).reps.tobytes()
+    assert reps.tobytes() == representations(params, x, block=n).tobytes()
 
 
 def test_forward_rejects_bad_inputs():
@@ -190,15 +189,11 @@ def test_forward_rejects_bad_inputs():
 
 
 def test_prior_table_values():
-    table = CalibrationPrior(rho=0.1).table()
-    from darl.dataset import RelevanceGrade
-
-    approx = pytest.approx
-    assert table[RelevanceGrade.IR] == approx((0.9, 0.1), rel=1e-12)
-    assert table[RelevanceGrade.WR] == approx((0.2, 0.8), rel=1e-12)
-    assert table[RelevanceGrade.SR] == approx((0.1, 0.9), rel=1e-12)
-    for q0, q1 in table.values():
-        assert q0 + q1 == approx(1.0, rel=1e-12)
+    # (q0, q1) per grade value: IR, WR, SR
+    q1 = CalibrationPrior(rho=0.1).positive_mass()
+    assert [(1.0 - q, q) for q in q1] == [
+        pytest.approx(pair, rel=1e-12) for pair in ((0.9, 0.1), (0.2, 0.8), (0.1, 0.9))
+    ]
 
 
 def test_prior_rho_bounds():
@@ -217,7 +212,7 @@ def test_ce_matches_hand_formula():
     grades = np.array([2, 0])  # SR -> target 1, IR -> target 0
     y = np.array([1.0, 0.0])
     want = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
-    got = loss(params, x, grades, None)
+    got = StageObjective(params, x, grades, None)(backward=False)
     assert got.ce == pytest.approx(want, rel=1e-14)
     assert got.kl == 0.0
     assert got.total == got.ce
@@ -227,7 +222,7 @@ def test_kl_zero_when_prediction_matches_prior():
     # score 0.5 against the WR prior (0.5, 0.5) at rho = 0.25
     params = ModelParams(SMALL, np.zeros(47))
     x, _ = small_batch(5)
-    values = loss(params, x, np.full(5, 1), CalibrationPrior(rho=0.25))
+    values = StageObjective(params, x, np.full(5, 1), CalibrationPrior(rho=0.25))()
     assert abs(values.kl) < 1e-15
 
 
@@ -235,7 +230,7 @@ def test_kl_worked_value():
     # score 0.5 vs the IR prior (0.9, 0.1): KL = ln(5/3)
     params = ModelParams(SMALL, np.zeros(47))
     x, _ = small_batch(3)
-    values = loss(params, x, np.zeros(3, dtype=int), CalibrationPrior(rho=0.1))
+    values = StageObjective(params, x, np.zeros(3, dtype=int), CalibrationPrior(rho=0.1))()
     assert values.kl == pytest.approx(np.log(5.0 / 3.0), abs=1e-5)
     assert values.kl == pytest.approx(0.5108256, abs=1e-5)
 
@@ -243,7 +238,7 @@ def test_kl_worked_value():
 def test_total_is_ce_plus_kl():
     params = init_model(SMALL, seed=9)
     x, grades = small_batch(12, seed=10)
-    values = loss(params, x, grades, CalibrationPrior(rho=0.1))
+    values = StageObjective(params, x, grades, CalibrationPrior(rho=0.1))()
     assert values.total == values.ce + values.kl
     assert values.kl > 0.0
 
@@ -251,11 +246,11 @@ def test_total_is_ce_plus_kl():
 def test_loss_rejects_bad_batches():
     params = init_model(SMALL, seed=11)
     with pytest.raises(DataFormatError):
-        loss(params, np.zeros((0, 4)), np.zeros(0, dtype=int), None)
+        StageObjective(params, np.zeros((0, 4)), np.zeros(0, dtype=int), None)
     with pytest.raises(DataFormatError):
-        loss(params, np.zeros((2, 4)), np.array([0, 3]), None)
+        StageObjective(params, np.zeros((2, 4)), np.array([0, 3]), None)
     with pytest.raises(DimensionMismatchError):
-        loss(params, np.zeros((2, 4)), np.array([0]), None)
+        StageObjective(params, np.zeros((2, 4)), np.array([0]), None)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.32))
@@ -264,13 +259,20 @@ def test_kl_is_nonnegative(seed, rho):
     params = ModelParams(SMALL, rng.standard_normal(47))
     x = rng.standard_normal((8, 4))
     grades = rng.integers(0, 3, size=8)
-    values = loss(params, x, grades, CalibrationPrior(rho=float(rho)))
+    values = StageObjective(params, x, grades, CalibrationPrior(rho=float(rho)))()
     assert values.kl >= -1e-12
     assert values.total == values.ce + values.kl
 
 
 # ---------------------------------------------------------------------------
 # gradients
+
+
+def gradient(params, x, grades, prior, trainable="all"):
+    """Gradient of the mean loss over every row, from a fresh objective."""
+    objective = StageObjective(params, x, grades, prior, trainable)
+    objective()
+    return objective.grad
 
 
 def finite_difference(params, x, grades, prior, h=1e-5):
@@ -280,7 +282,7 @@ def finite_difference(params, x, grades, prior, h=1e-5):
     def at(i, delta):
         bumped = base.copy()
         bumped[i] += delta
-        return loss(params.replace_values(bumped), x, grades, prior).total
+        return StageObjective(params.replace_values(bumped), x, grades, prior)(backward=False).total
 
     for i in range(base.size):
         grad[i] = (at(i, h) - at(i, -h)) / (2.0 * h)
@@ -295,7 +297,7 @@ def test_gradient_matches_finite_differences(use_prior):
         params = ModelParams(SMALL, 0.5 * rng.standard_normal(47))
         x = rng.standard_normal((6, 4))
         grades = rng.integers(0, 3, size=6)
-        _, grad = loss_and_grad(params, x, grades, prior)
+        grad = gradient(params, x, grades, prior)
         fd = finite_difference(params, x, grades, prior)
         np.testing.assert_allclose(grad, fd, atol=1e-7, rtol=1e-5)
 
@@ -303,9 +305,9 @@ def test_gradient_matches_finite_differences(use_prior):
 def test_head_only_gradient_masks_backbone():
     params = init_model(SMALL, seed=12)
     x, grades = small_batch(8, seed=13)
-    _, full = loss_and_grad(params, x, grades, None, trainable="all")
-    _, head = loss_and_grad(params, x, grades, None, trainable="head")
-    _, backbone = loss_and_grad(params, x, grades, None, trainable="backbone")
+    full, head, backbone = (
+        gradient(params, x, grades, None, trainable) for trainable in ("all", "head", "backbone")
+    )
     cut = SMALL.backbone_count
     assert np.all(head[:cut] == 0.0)
     assert np.all(backbone[cut:] == 0.0)
@@ -319,17 +321,20 @@ def test_kl_gradient_vanishes_at_the_prior():
     params = ModelParams(SMALL, np.zeros(47))
     x, _ = small_batch(6, seed=14)
     grades = np.full(6, 1)
-    _, with_prior = loss_and_grad(params, x, grades, CalibrationPrior(rho=0.25))
-    _, without = loss_and_grad(params, x, grades, None)
+    with_prior = gradient(params, x, grades, CalibrationPrior(rho=0.25))
+    without = gradient(params, x, grades, None)
     np.testing.assert_allclose(with_prior, without, atol=1e-14)
 
 
 @pytest.mark.parametrize("use_prior", [False, True])
 def test_loss_equals_loss_and_grad_loss(use_prior):
+    # a forward-only call returns exactly the loss of a call that also
+    # writes the gradient
     prior = CalibrationPrior(rho=0.1) if use_prior else None
     params = init_model(SMALL, seed=27)
     x, grades = small_batch(9, seed=28)
-    assert loss(params, x, grades, prior) == loss_and_grad(params, x, grades, prior)[0]
+    objective = StageObjective(params, x, grades, prior)
+    assert objective(backward=False) == objective()
 
 
 def test_gradient_descent_decreases_loss():
@@ -339,10 +344,11 @@ def test_gradient_descent_decreases_loss():
     grades = rng.integers(0, 3, size=32)
     prev = np.inf
     for _ in range(12):
-        values, grad = loss_and_grad(params, x, grades, None)
+        objective = StageObjective(params, x, grades, None)
+        values = objective()
         assert values.total < prev
         prev = values.total
-        params = params.replace_values(params.values - 0.5 * grad)
+        params = params.replace_values(params.values - 0.5 * objective.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +393,10 @@ def test_adam_is_deterministic():
 
     def run():
         opt, values = init_opt(SMALL, lr=1e-3), params.values.copy()
+        objective = StageObjective(ModelParams(SMALL, values.view()), x, grades, None)
         for _ in range(5):
-            _, grad = loss_and_grad(ModelParams(SMALL, values.view()), x, grades, None)
-            adam_step(opt, values, grad)
+            objective()
+            adam_step(opt, values, objective.grad)
         return values
 
     np.testing.assert_array_equal(run(), run())
@@ -441,9 +448,7 @@ def test_doubling_head_doubles_logit():
     doubled = params.replace_values(doubled_vec)
     x, _ = small_batch(5, seed=29)
     np.testing.assert_allclose(
-        forward_batch(doubled, x).logits,
-        2.0 * forward_batch(params, x).logits,
-        rtol=1e-12,
+        forward_batch(doubled, x), 2.0 * forward_batch(params, x), rtol=1e-12
     )
 
 

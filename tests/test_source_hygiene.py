@@ -57,9 +57,6 @@ def test_no_private_names_cross_modules(path):
     assert private == [], f"{path.name} imports another module's private names"
 
 
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
-
-
 def _public_api(path: Path):
     """(qualified name, bare name, is a method) of each public def and class."""
     for node in _tree(path).body:
@@ -71,9 +68,8 @@ def _public_api(path: Path):
 
 
 def test_public_api_has_a_non_test_caller():
-    # code that only unit tests reach is dead weight; the acceptance gate
-    # counts as a caller because it is the package's specification
-    trees = [_tree(path) for path in (*SOURCES, ACCEPTANCE)]
+    # code that only tests reach, the acceptance gate included, is dead weight
+    trees = [_tree(path) for path in SOURCES]
     attrs = {n.attr for t in trees for n in ast.walk(t) if isinstance(n, ast.Attribute)}
     names = attrs | {n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.alias)}
     names = names.union(*map(_used_names, trees))
@@ -100,19 +96,26 @@ def test_cli_writes_only_through_the_run():
     assert [line for line in outside if writes.search(line)] == []
 
 
-def test_only_the_model_names_the_one_batch_loss():
-    # training runs through model.StageObjective; loss and loss_and_grad are
-    # the checked one-batch entry points, and no other module calls them
-    one_batch = {"loss", "loss_and_grad"}
-    for path in SOURCES:
-        if path.name == "model.py":
-            continue
-        tree = _tree(path)
-        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        named |= {bound for bound, _, _ in _imports(tree)}
-        named |= {name for _, name, _ in _imports(tree)}
-        assert not named & one_batch, f"{path.name} names the one-batch loss"
+def _darl_modules(tree: ast.Module) -> set[str]:
+    """The darl modules a source file imports from, by bare name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("darl")):
+            module = (node.module or "").removeprefix("darl").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.startswith("darl")}
+    return found
+
+
+def test_model_and_ood_select_import_only_errors_and_util():
+    # the scorer and the selector work on plain arrays; the data, training
+    # and grading layers build on them, never the other way round
+    leaves = {path.name: _darl_modules(_tree(path)) for path in SOURCES
+              if path.name in ("model.py", "ood_select.py")}
+    assert {name: found - {"errors", "util"} for name, found in leaves.items()} == {
+        "model.py": set(), "ood_select.py": set()
+    }
 
 
 def _budget_reads(tree: ast.Module) -> list[str]:
