@@ -10,7 +10,7 @@ thresholds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,9 @@ from .util import BLOCK_ROWS, finite_rows, order_stat_quantile, row_blocks
 DEFAULT_RIDGE_SCALE = 1e-4
 MIN_CALIBRATION_SAMPLES = 50
 KNN_CHUNK = 192  # query rows per kNN similarity block
-# bytes of the kNN similarity buffer: KNN_CHUNK queries against 10,000 index rows
+# bytes of the kNN float32 index copy, float32 screen and float64 similarities
 KNN_BUFFER_BYTES = 15_360_000
+KNN_TILE = 1024  # most index rows per float64 tile behind the float32 screen
 
 
 @dataclass(frozen=True)
@@ -109,24 +110,33 @@ def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NeighborIndex:
-    """Unit-normalized reference rows for exact cosine nearest neighbor."""
+    """Unit-normalized reference rows for exact cosine nearest neighbor.
 
-    vectors: np.ndarray
+    ``unit`` repeats the last of its ``rows`` rows (``vectors``) up to a
+    multiple of 8 rows, since OpenBLAS rounds a product's last ``rows % 8``
+    rows by the queries that share it; ``screen`` is its float32 copy.
+    """
 
-    @property
-    def rows(self) -> int:
-        return self.vectors.shape[0]
+    unit: np.ndarray
+    rows: int
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    screen: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vectors", self.unit[: self.rows])
+        object.__setattr__(self, "screen", self.unit.astype(np.float32))
 
     @property
     def dims(self) -> int:
-        return self.vectors.shape[1]
+        return self.unit.shape[1]
 
 
 def build_index(reps, ids: tuple[str, ...] | None = None) -> NeighborIndex:
     """L2-normalize reference rows; a zero-norm row is rejected, named by
     its entry in ``ids`` when given, else by its position."""
     data = finite_rows(reps, None, "representation")
-    if data.shape[0] < 1:
+    rows = data.shape[0]
+    if rows < 1:
         raise DataFormatError("neighbor index needs at least one row")
     norms = np.linalg.norm(data, axis=1)
     bad = np.flatnonzero(norms < np.finfo(np.float64).tiny)
@@ -135,40 +145,109 @@ def build_index(reps, ids: tuple[str, ...] | None = None) -> NeighborIndex:
         raise DataFormatError(
             f"zero-norm representation row {row if ids is None else ids[row]!r}"
         )
-    vectors = data / norms[:, None]
-    vectors.flags.writeable = False
-    return NeighborIndex(vectors=vectors)
+    unit = np.empty((-(-rows // 8) * 8, data.shape[1]), dtype=np.float64)
+    np.divide(data, norms[:, None], out=unit[:rows])
+    unit[rows:] = unit[rows - 1]
+    unit.flags.writeable = False
+    return NeighborIndex(unit=unit, rows=rows)
+
+
+def _tile_width(rows: int, most: int) -> int:
+    """Width of near-equal tiles of ``rows`` index rows, at most ``most`` (both
+    multiples of 8).  Tiles start at multiples of it, a multiple of 8: only
+    then does OpenBLAS give each column of ``queries @ tile.T`` the bits of
+    one whole-index product (7,500-row tiles of 15,000 rows at 32 dims
+    changed 16 distances in 20,000)."""
+    return 8 * -(-rows // (8 * -(-rows // most)))
+
+
+def _knn_plan(index: NeighborIndex, chunk: int) -> tuple[int, int]:
+    """(float64 tile width, tiles per float32 screen product or 0): the
+    float32 index copy, a screen buffer of whole tiles for ``chunk``
+    queries and a float64 buffer of one tile fit ``KNN_BUFFER_BYTES``.
+    Without room for a screen, or with one tile, float64 tiles fill it."""
+    rows, total = max(chunk, 2), len(index.unit)  # a lone query row is doubled
+    fill = max(8, KNN_BUFFER_BYTES // (64 * rows) * 8)
+    width = _tile_width(total, min(KNN_TILE, fill))
+    spare = KNN_BUFFER_BYTES - 8 * rows * width - index.screen.nbytes
+    group = min(-(-total // width), spare // (4 * chunk * width)) if width < total else 0
+    return (width, group) if group > 0 else (_tile_width(total, fill), 0)
+
+
+def _screen(index: NeighborIndex, queries: np.ndarray, width: int, group: int, buffer):
+    """(tiles, queries) mask: can the tile hold the query's nearest row?"""
+    total = len(index.unit)
+    tops = np.empty((len(queries), -(-total // width)), dtype=np.float32)
+    short = queries.astype(np.float32)
+    for start in range(0, total, group * width):
+        stop = min(start + group * width, total)
+        sims = buffer[: len(queries) * (stop - start)].reshape(len(queries), stop - start)
+        np.matmul(short, index.screen[start:stop].T, out=sims)
+        part = slice(start // width, -(-stop // width))
+        np.maximum.reduceat(sims, range(0, stop - start, width), axis=1, out=tops[:, part])
+    slack = 2 * (index.dims + 2) * float(np.finfo(np.float32).eps)
+    return (tops >= tops.max(axis=1, keepdims=True) - slack).T
+
+
+def _raise_best(best, arr, rows, tile: np.ndarray, buffer) -> None:
+    """Raise ``best`` at ``rows`` to their float64 maxima over the ``tile``
+    rows, in near-equal pieces of at most ``KNN_CHUNK`` rows; a lone row is
+    doubled, as BLAS's one-row kernel rounds differently.  A row's norm does
+    not depend on the rows gathered with it."""
+    count = -(-rows.size // KNN_CHUNK)
+    for piece in range(count):
+        pick = rows[piece * rows.size // count : (piece + 1) * rows.size // count]
+        pick = np.resize(pick, max(2, pick.size))
+        queries = arr[pick]
+        queries /= np.linalg.norm(queries, axis=1)[:, None]
+        sims = buffer[: pick.size * len(tile)].reshape(pick.size, len(tile))
+        np.matmul(queries, tile.T, out=sims)
+        best[pick] = np.maximum(best[pick], sims.max(axis=1))
 
 
 def knn_distance_batch(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
     """Exact nearest-neighbor cosine distance per query row, in [0, 2].
 
-    Brute force in ``util.row_blocks`` of ``KNN_CHUNK`` queries, each
-    normalized on its own, against near-equal index tiles whose similarities
-    fit one reused ``KNN_BUFFER_BYTES`` buffer (tiles of at least 2 rows keep
-    BLAS off its matrix-vector path).  Each row's distance is bit-identical
-    whatever the block and tile sizes.  Tiling the index, not cutting the
-    query blocks, keeps each packed index tile shared by ``KNN_CHUNK``
-    queries: 96-query blocks made the kNN step 10% slower at 20,000 rows.
+    Two passes share ``KNN_BUFFER_BYTES`` (``_knn_plan``).  The screen
+    multiplies ``util.row_blocks`` of ``KNN_CHUNK`` queries, each normalized
+    on its own, in float32 by ``index.screen`` and keeps one byte per query
+    and tile: is the tile's float32 maximum within slack = 2 (d + 2) eps32
+    of the query's?  The exact pass multiplies only those tiles in float64
+    (``_raise_best``); the distance is 1 - the best similarity.
+
+    Slack: for unit q, v, float32 rounding errs by u = 2**-24 relative per
+    component (2**-150 absolute if subnormal), and a float32 dot of d terms
+    in any order by gamma_d sum |q_i v_i| <= gamma_d = d u / (1 - d u)
+    (Higham, Lemma 3.1; Cauchy-Schwarz).  So |dot32 - dot64| <= e = (d + 2)
+    u (1 + O(d u)), the float64 dot's d 2**-53 included.  With k the float64
+    argmax and m the float32 maximum, at j: dot32_k >= dot64_k - e >=
+    dot64_j - e >= m - 2e, and 2e ~ (d + 2) eps32 is half the slack (the
+    float32 subtraction costs an ulp), so k's tile is a candidate.  Every
+    float64 entry equals that of one whole-index product, so a distance is
+    bit-identical whatever the chunk, budget and tiles, on products OpenBLAS
+    runs through its general kernel (0.3.31's Haswell build sends those of
+    <= 1,200 entries at >= 32 dims to a small-matrix kernel).
     """
     arr = finite_rows(x, index.dims, "query")
     n = arr.shape[0]
-    tiles = -(-index.rows // max(2, KNN_BUFFER_BYTES // (8 * KNN_CHUNK)))
-    width = -(-index.rows // tiles)
-    out = np.empty(n, dtype=np.float64)
-    sims = np.empty((min(KNN_CHUNK, n), width), dtype=np.float64)
+    chunk = min(KNN_CHUNK, max(n, 1))
+    width, group = _knn_plan(index, chunk)
+    near = np.empty((-(-len(index.unit) // width), n) if group else (0, n), dtype=bool)
+    screen = np.empty(chunk * group * width, dtype=np.float32)
     for part in row_blocks(n, KNN_CHUNK):
         norms = np.linalg.norm(arr[part], axis=1)
         bad = np.flatnonzero(norms < np.finfo(np.float64).tiny)
         if bad.size:
             raise DataFormatError(f"zero-norm query row {part.start + int(bad[0])}")
-        queries = arr[part] / norms[:, None]
-        best = np.full(len(queries), -np.inf)
-        for tile in row_blocks(index.rows, width):
-            np.matmul(queries, index.vectors[tile].T, out=sims)
-            np.maximum(best, sims.max(axis=1), out=best)
-        out[part] = 1.0 - best
-    return np.clip(out, 0.0, 2.0, out=out)
+        if group:
+            near[:, part] = _screen(index, arr[part] / norms[:, None], width, group, screen)
+    best = np.full(n, -np.inf)
+    exact = np.empty(max(chunk, 2) * width, dtype=np.float64)
+    for start in range(0, len(index.unit), width):
+        rows = np.flatnonzero(near[start // width]) if group else np.arange(n)
+        _raise_best(best, arr, rows, index.unit[start : start + width], exact)
+        del rows  # one tile's row numbers at a time
+    return np.clip(np.subtract(1.0, best, out=best), 0.0, 2.0, out=best)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from darl.ood_select import (
     select_ood,
     write_score_report,
 )
-from darl.util import BLOCK_ROWS, row_blocks
+from darl.util import BLOCK_ROWS
 
 # ---------------------------------------------------------------------------
 # gaussian fitting
@@ -248,25 +248,138 @@ def test_knn_chunking_is_invisible(monkeypatch):
         monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", 8 * chunk * cols)
         assert np.array_equal(knn_distance_batch(index, queries), base)
         assert knn_distance_batch(index, np.zeros((0, 3))).shape == (0,)
+    # at 32 dims, where OpenBLAS's kernels differ by tile start; every
+    # product keeps >= 2 rows and > 1,200 entries, off its small-matrix kernel
+    monkeypatch.undo()
+    index = build_index(rng.standard_normal((3_000, 32)))
+    queries = rng.standard_normal((401, 32))
+    base = knn_distance_batch(index, queries)
+    # screened 1,000-row tiles (the default) and 752-row tiles, and
+    # unscreened 1,000-row tiles and 3,000-row tiles
+    for chunk, budget, tile in ((7, 15_360_000, 800), (64, 512_512, 2048), (2, 48_016, 2048)):
+        monkeypatch.setattr(ood_select, "KNN_CHUNK", chunk)
+        monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", budget)
+        monkeypatch.setattr(ood_select, "KNN_TILE", tile)
+        assert np.array_equal(knn_distance_batch(index, queries), base)
+
+
+def whole_index_distances(index, queries) -> np.ndarray:
+    """1 - each query's maximum over one float64 product with the whole
+    index, padded to a multiple of 8 rows: unpadded, the bits of its last
+    rows change with the number of queries in the product."""
+    unit = queries / np.linalg.norm(queries, axis=1)[:, None]
+    padded = np.vstack([index.vectors, np.repeat(index.vectors[-1:], -index.rows % 8, axis=0)])
+    best = np.concatenate([(unit[start : start + 100] @ padded.T).max(axis=1)
+                           for start in range(0, len(unit), 100)])
+    return np.clip(1.0 - best, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("rows", [15_000, 10_001])
+def test_knn_matches_one_whole_index_product_bitwise(rows):
+    # 32 dims, where tiles that start off a multiple of 8 change a row's
+    # bits now and then: 7,500-row tiles of 15,000 rows changed 16 of these
+    # 20,000 distances; and a lone query row
+    rng = np.random.default_rng(rows)
+    index = build_index(rng.standard_normal((rows, 32)))
+    queries = rng.standard_normal((20_000, 32))
+    expected = whole_index_distances(index, queries)
+    assert knn_distance_batch(index, queries).tobytes() == expected.tobytes()
+    assert knn_distance_batch(index, queries[-1:]).tobytes() == expected[-1:].tobytes()
+
+
+@given(
+    st.integers(1, 256),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.3, 0.9]),
+    st.sampled_from([1e-2, 1e-7, 1.0]),
+)
+def test_knn_screen_dot_is_within_half_the_slack(dims, seed, tiny_share, spread):
+    """The float32 dot of unit rows is within (dims + 2) eps32 of the
+    float64 dot, so the slack of twice that keeps the nearest tile."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((4, dims))
+    # queries near the index rows give dots near 1; tiny components turn
+    # subnormal or zero in float32
+    queries = rows + spread * rng.standard_normal((4, dims))
+    for part in (rows, queries):
+        tiny = rng.random(part.shape) < tiny_share
+        part[tiny] *= 10.0 ** rng.uniform(-60.0, -36.0, int(tiny.sum()))
+    index = build_index(rows)
+    unit = queries / np.linalg.norm(queries, axis=1)[:, None]
+    error = unit.astype(np.float32) @ index.screen.T - unit @ index.unit.T
+    assert np.all(np.abs(error) <= (dims + 2) * np.finfo(np.float32).eps)
+
+
+def test_knn_nearest_neighbour_outside_the_float32_argmax_tile(monkeypatch):
+    # a query whose float64 nearest index row (b, tile 2) loses to another
+    # row (a, tile 1) in float32, found among near rotations of the query
+    rng = np.random.default_rng(0)
+    filler = -np.abs(rng.standard_normal((14, 2)))  # far from the query
+    monkeypatch.setattr(ood_select, "KNN_TILE", 8)
+    for angle, turn_a, turn_b in zip(*rng.uniform([0.0, 1e-4, 1e-4], [1.5, 1e-3, 1e-3], (500, 3)).T):
+        turns = np.array([angle, angle + turn_a, angle - turn_b])
+        query, a, b = np.stack([np.cos(turns), np.sin(turns)], axis=1)
+        index = build_index(np.vstack([a, filler[:7], b, filler[7:]]))
+        unit = query / np.linalg.norm(query)
+        exact = unit @ index.vectors.T
+        short = unit.astype(np.float32) @ index.screen.T
+        if exact[0] < exact[8] and short[0] > short[8]:
+            break
+    else:
+        pytest.fail("no query found whose float32 argmax sits in another tile")
+    assert ood_select._knn_plan(index, 1) == (8, 2)
+    assert knn_distance_batch(index, query)[0] == np.clip(1.0 - exact[8], 0.0, 2.0)
+
+
+def test_knn_memory_fits_the_budget_with_the_float32_copy():
+    """Everything the kNN step allocates, the float32 index copy included,
+    fits ``KNN_BUFFER_BYTES`` plus query-sized arrays."""
+    rng = np.random.default_rng(11)
+    dims, n = 32, 1_000
+    index = build_index(rng.standard_normal((20_000, dims)))
+    width, group = ood_select._knn_plan(index, ood_select.KNN_CHUNK)
+    tiles = -(-index.rows // width)
+    assert tiles > 1 and group > 0
+    # per query: the result, a mask byte per tile and a row number; per
+    # chunk: the normalized queries, their float32 copy and a copy of each
+    query_bytes = n * (8 + tiles + 8) + 4 * ood_select.KNN_CHUNK * dims * 8
+    peak = traced_peak(knn_distance_batch, index, rng.standard_normal((n, dims)))
+    assert peak + index.screen.nbytes <= ood_select.KNN_BUFFER_BYTES + query_bytes
+
+
+@given(st.integers(1, 6_000), st.integers(1, 3_000))
+def test_knn_tile_width_is_a_multiple_of_8(eighths, most):
+    # every tile then starts at a multiple of 8 and, over an index padded
+    # to a multiple of 8 rows, is a multiple of 8 rows long
+    rows, width = 8 * eighths, ood_select._tile_width(8 * eighths, 8 * most)
+    assert width % 8 == 0 and width <= 8 * most
+    assert -(-rows // width) == -(-rows // (8 * most))
 
 
 def test_knn_index_tiles_follow_the_index_size(monkeypatch):
-    # the byte budget holds 192 queries against 10,000 index rows; a larger
-    # index is cut into near-equal tiles, never one of a single row
-    widths = []
-
-    def recording(n, width):
-        widths.append(width)
-        return row_blocks(n, width)
-
-    monkeypatch.setattr(ood_select, "row_blocks", recording)
+    """Tiles cover the index padded to a multiple of 8 rows; the float32
+    copy, the screen and one float64 tile share the byte budget, and
+    without room for the screen the float64 tiles fill it."""
     rng = np.random.default_rng(9)
-    queries = rng.standard_normal((5, 2))
-    for rows in (10_000, 20_000, 15_000):
-        knn_distance_batch(build_index(rng.standard_normal((rows, 2))), queries)
+
+    def plan(rows, dims=32):
+        index = build_index(rng.standard_normal((rows, dims)))
+        total = len(index.unit)
+        assert total == 8 * -(-rows // 8) and index.rows == rows
+        width, group = ood_select._knn_plan(index, ood_select.KNN_CHUNK)
+        return [min(width, total - start) for start in range(0, total, width)], group
+
+    # 1,000-row tiles leave room for 14 of them in float32
+    assert plan(20_000) == ([1_000] * 20, 14)
+    assert plan(10_001) == ([1_008] * 9 + [936], 10)
+    assert plan(1_024) == ([1_024], 0)
+    assert plan(1_025) == ([520, 512], 2)
+    # the float32 copy fills the budget: float64 tiles of up to 10,000 rows
+    assert plan(30_000, 128) == ([10_000] * 3, 0)
+    # no tile is shorter than 8 rows
     monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", 1)
-    knn_distance_batch(build_index(rng.standard_normal((3, 2))), queries)
-    assert widths == [192, 10_000, 192, 10_000, 192, 7_500, 192, 2]
+    assert plan(3, 2) == ([8], 0)
+    assert plan(17, 2) == ([8] * 3, 0)
 
 
 def test_knn_similarity_buffer_is_reused(monkeypatch):
