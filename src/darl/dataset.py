@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -191,20 +191,11 @@ class SyntheticConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        counts = {
-            "dims": self.dims,
-            "id_cluster_count": self.id_cluster_count,
-            "ood_cluster_count": self.ood_cluster_count,
-            "train_size": self.train_size,
-            "val_size": self.val_size,
-            "test_size": self.test_size,
-            "pool_size": self.pool_size,
-            "pretrain_size": self.pretrain_size,
-            "pretrain_extra_clusters": self.pretrain_extra_clusters,
-        }
-        for name, value in counts.items():
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigError(name, f"must be a positive integer, got {value!r}")
+        # every int field but the seed is a count
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and f.name != "seed" and (not isinstance(value, int) or value <= 0):
+                raise ConfigError(f.name, f"must be a positive integer, got {value!r}")
         if not 0.0 <= self.label_noise_rate < 0.5:
             raise ConfigError(
                 "label_noise_rate", f"must be in [0, 0.5), got {self.label_noise_rate!r}"

@@ -164,38 +164,30 @@ def fit_space(
     return fit_gaussian(reps), build_index(reps, train_id.ids)
 
 
-# multiply-adds up to which an OpenBLAS 0.3 matrix product stays on the
-# calling thread (it woke a second thread between 0.98 and 1.02 million on
-# a 2-core Haswell build); half of that leaves a margin
-_SOLO_PRODUCT_MACS = 1 << 19
-
-
 def _distances(backbone, stats, index, data: LabeledDataset):
     """(Mahalanobis, kNN) distances of each row's representation.
 
     The only scorer.  The float64 representations are computed a block at
-    a time, once per distance, and never held whole; their products stay
-    under OpenBLAS's single-thread cutoff.  The two distances run in two
-    passes because numpy and scipy each load their own OpenBLAS, whose
-    worker threads keep spinning after a threaded call: switching libraries
-    per block set the two thread pools against each other on the same cores
-    and ran about 1.5x slower.  So scipy solves every Mahalanobis block
-    while numpy's pool sleeps, and then numpy runs every kNN block.  Each
-    row's distances do not depend on the blocks.
+    a time, once per distance, and never held whole; ``representations``
+    keeps their products on OpenBLAS's calling thread.  The two distances
+    run in two passes because numpy and scipy each load their own OpenBLAS,
+    whose worker threads keep spinning after a threaded call: switching
+    libraries per block set the two thread pools against each other on the
+    same cores and ran about 1.5x slower.  So scipy solves every Mahalanobis
+    block while numpy's pool sleeps, and then numpy runs every kNN block.
+    Each row's distances do not depend on the blocks.
     """
     if stats.dims != index.dims:
         raise DimensionMismatchError(
             f"dims disagree: gaussian {stats.dims}, index {index.dims}"
         )
     x = data.embeddings.data
-    widest = max(fan_in * fan_out for fan_in, fan_out in backbone.arch.layer_shapes()[:-1])
-    solo = max(2, _SOLO_PRODUCT_MACS // widest)
     mahal, knn = np.empty(len(x)), np.empty(len(x))
     for part in row_blocks(len(x), BLOCK_ROWS):
-        mahal[part] = mahalanobis_batch(stats, representations(backbone, x[part], solo))
+        mahal[part] = mahalanobis_batch(stats, representations(backbone, x[part]))
     # whole kNN query chunks per block, so only the last block's chunks overlap
     for part in row_blocks(len(x), KNN_CHUNK * max(1, BLOCK_ROWS // KNN_CHUNK)):
-        knn[part] = knn_distance_batch(index, representations(backbone, x[part], solo))
+        knn[part] = knn_distance_batch(index, representations(backbone, x[part]))
     return mahal, knn
 
 

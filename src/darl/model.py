@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteValueError,
     TruncatedPayloadError,
 )
-from .util import BLOCK_ROWS, canonical_json, finite_rows, row_blocks, sub_rng
+from .util import canonical_json, finite_rows, row_blocks, sub_rng
 
 CHECKPOINT_MAGIC = b"DARL"
 CHECKPOINT_VERSION = 1
@@ -47,6 +47,11 @@ _BINARY_TARGET = np.array([0.0, 1.0, 1.0], dtype=np.float64)
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+
+# multiply-adds up to which an OpenBLAS 0.3 matrix product stays on the
+# calling thread (it woke a second thread between 0.98 and 1.02 million on
+# a 2-core Haswell build); half of that leaves a margin
+_SOLO_PRODUCT_MACS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -197,15 +202,20 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return (reps @ head_w + head_b)[:, 0]
 
 
-def representations(params: ModelParams, x: np.ndarray, block: int = BLOCK_ROWS) -> np.ndarray:
+def representations(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Penultimate-layer activations, the space used for OOD scoring.
 
-    Only the hidden layers run, in ``util.row_blocks`` of ``block`` rows, so
-    each row matches a single unblocked pass bit for bit.
+    Only the hidden layers run, in ``util.row_blocks`` small enough that
+    every product stays under ``_SOLO_PRODUCT_MACS`` (256 rows at the
+    default arch): larger products wake BLAS worker threads, whose spinning
+    slows the small products that follow.  Each row matches a single
+    unblocked pass bit for bit.
     """
     arch = params.arch
     rows = finite_rows(x, arch.input_dims, "model input", widen=False)
     n = rows.shape[0]
+    widest = max(fan_in * fan_out for fan_in, fan_out in arch.layer_shapes()[:-1])
+    block = max(2, _SOLO_PRODUCT_MACS // widest)
     views = _layer_views(arch, params.values)
     reps = np.empty((n, arch.rep_dims))
     outs = [np.empty((min(n, block), w)) for w in arch.hidden[:-1]]
@@ -300,9 +310,7 @@ class StageObjective:
         self._acts = [np.empty((rows, w)) for w in arch.hidden]
         self._reps = None
         if not self._backbone_grad and rows > 1:
-            # batch-sized blocks: larger products wake BLAS worker threads,
-            # whose spinning slows every small step that follows
-            self._reps = representations(params, self._x, block=rows)
+            self._reps = representations(params, self._x)
 
     def __call__(self, take: np.ndarray | None = None, backward: bool = True) -> LossValues:
         """Mean loss over the in-range row indices ``take`` (default: all rows).

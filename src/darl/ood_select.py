@@ -112,18 +112,16 @@ def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
 class NeighborIndex:
     """Unit-normalized reference rows for exact cosine nearest neighbor.
 
-    ``unit`` repeats the last of its ``rows`` rows (``vectors``) up to a
-    multiple of 8 rows, since OpenBLAS rounds a product's last ``rows % 8``
-    rows by the queries that share it; ``screen`` is its float32 copy.
+    ``unit`` repeats the last of its ``rows`` rows up to a multiple of 8
+    rows, since OpenBLAS rounds a product's last ``rows % 8`` rows by the
+    queries that share it; ``screen`` is its float32 copy.
     """
 
     unit: np.ndarray
     rows: int
-    vectors: np.ndarray = field(init=False, repr=False, compare=False)
     screen: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", self.unit[: self.rows])
         object.__setattr__(self, "screen", self.unit.astype(np.float32))
 
     @property
@@ -162,16 +160,14 @@ def _tile_width(rows: int, most: int) -> int:
 
 
 def _knn_plan(index: NeighborIndex, chunk: int) -> tuple[int, int]:
-    """(float64 tile width, tiles per float32 screen product or 0): the
-    float32 index copy, a screen buffer of whole tiles for ``chunk``
-    queries and a float64 buffer of one tile fit ``KNN_BUFFER_BYTES``.
-    Without room for a screen, or with one tile, float64 tiles fill it."""
+    """(float64 tile width, tiles per float32 screen product): the float32
+    index copy, a screen buffer of whole tiles for ``chunk`` queries and a
+    float64 buffer of one tile fit ``KNN_BUFFER_BYTES``.  Without room for
+    that, the screen still takes one tile at a time."""
     rows, total = max(chunk, 2), len(index.unit)  # a lone query row is doubled
-    fill = max(8, KNN_BUFFER_BYTES // (64 * rows) * 8)
-    width = _tile_width(total, min(KNN_TILE, fill))
+    width = _tile_width(total, min(KNN_TILE, max(8, KNN_BUFFER_BYTES // (64 * rows) * 8)))
     spare = KNN_BUFFER_BYTES - 8 * rows * width - index.screen.nbytes
-    group = min(-(-total // width), spare // (4 * chunk * width)) if width < total else 0
-    return (width, group) if group > 0 else (_tile_width(total, fill), 0)
+    return width, max(1, min(-(-total // width), spare // (4 * chunk * width)))
 
 
 def _screen(index: NeighborIndex, queries: np.ndarray, width: int, group: int, buffer):
@@ -232,19 +228,18 @@ def knn_distance_batch(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     chunk = min(KNN_CHUNK, max(n, 1))
     width, group = _knn_plan(index, chunk)
-    near = np.empty((-(-len(index.unit) // width), n) if group else (0, n), dtype=bool)
+    near = np.empty((-(-len(index.unit) // width), n), dtype=bool)
     screen = np.empty(chunk * group * width, dtype=np.float32)
     for part in row_blocks(n, KNN_CHUNK):
         norms = np.linalg.norm(arr[part], axis=1)
         bad = np.flatnonzero(norms < np.finfo(np.float64).tiny)
         if bad.size:
             raise DataFormatError(f"zero-norm query row {part.start + int(bad[0])}")
-        if group:
-            near[:, part] = _screen(index, arr[part] / norms[:, None], width, group, screen)
+        near[:, part] = _screen(index, arr[part] / norms[:, None], width, group, screen)
     best = np.full(n, -np.inf)
     exact = np.empty(max(chunk, 2) * width, dtype=np.float64)
     for start in range(0, len(index.unit), width):
-        rows = np.flatnonzero(near[start // width]) if group else np.arange(n)
+        rows = np.flatnonzero(near[start // width])
         _raise_best(best, arr, rows, index.unit[start : start + width], exact)
         del rows  # one tile's row numbers at a time
     return np.clip(np.subtract(1.0, best, out=best), 0.0, 2.0, out=best)

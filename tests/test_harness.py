@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import TINY_ARCH, TINY_CONFIG, TINY_PLAN, graded, make_dataset, traced_peak
 
-from darl import harness, util
+from darl import harness, model, util
 from darl.dataset import Origin, SyntheticConfig, generate_synthetic
 from darl.errors import ConfigError, DimensionMismatchError, DivergenceError
 from darl.harness import (
@@ -32,7 +32,7 @@ from darl.harness import (
     write_budget_table,
 )
 from darl.lpft import StagePlan, run_training
-from darl.model import ModelArch, init_model, representations
+from darl.model import ModelArch, StageObjective, init_model, representations
 from darl.ood_select import (
     OodThresholds,
     ThresholdPolicy,
@@ -172,7 +172,7 @@ def test_fused_distances_match_whole_array_scoring(monkeypatch, rows):
     monkeypatch.setattr(harness, "BLOCK_ROWS", SMALL_BLOCK)
     monkeypatch.setattr(harness, "KNN_CHUNK", 3)
     widest = max(a * b for a, b in TINY_ARCH.layer_shapes()[:-1])
-    monkeypatch.setattr(harness, "_SOLO_PRODUCT_MACS", 3 * widest)
+    monkeypatch.setattr(model, "_SOLO_PRODUCT_MACS", 3 * widest)
     backbone = init_model(TINY_ARCH, 4)
     stats, index = fit_space(backbone, make_dataset(60, TINY_ARCH.input_dims, seed=5))
     data = make_dataset(rows, TINY_ARCH.input_dims, seed=rows)
@@ -181,6 +181,30 @@ def test_fused_distances_match_whole_array_scoring(monkeypatch, rows):
     reps = representations(backbone, data.embeddings.data)
     assert mahal.tobytes() == mahalanobis_batch(stats, reps).tobytes()
     assert knn.tobytes() == knn_distance_batch(index, reps).tobytes()
+
+
+def test_every_representation_product_stays_under_the_thread_cutoff(monkeypatch):
+    """fit_space, the fused scorer and a head-only stage run every hidden
+    layer product with at most ``model._SOLO_PRODUCT_MACS`` multiply-adds."""
+    arch = ModelArch()
+    widest = max(a * b for a, b in arch.layer_shapes()[:-1])
+    hidden, blocks = model._hidden, []
+
+    def counted(views, a, outs):
+        blocks[-1].append(len(a))
+        return hidden(views, a, outs)
+
+    monkeypatch.setattr(model, "_hidden", counted)
+    backbone = init_model(arch, 0)
+    train, pool = (make_dataset(5_000, arch.input_dims, seed=s) for s in (1, 2))
+    blocks.append([])
+    stats, index = fit_space(backbone, train)
+    blocks.append([])
+    harness._distances(backbone, stats, index, pool)
+    blocks.append([])
+    StageObjective(backbone, train.embeddings.data, train.grades, None, "head", batch_size=512)
+    largest = [max(rows) for rows in blocks]  # one per step, each of which ran
+    assert max(largest) * widest <= model._SOLO_PRODUCT_MACS, largest
 
 
 def test_distances_reject_a_gaussian_and_index_of_different_widths():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from darl import model
 from darl.errors import (
     BadMagicError,
     CheckpointError,
@@ -167,13 +168,16 @@ def test_representations_have_last_hidden_width():
 
 
 @pytest.mark.parametrize("n", [1, 2, 4097, 8193, 160_001, 200_000])
-def test_representations_match_one_unblocked_pass_bitwise(n):
+def test_representations_match_one_unblocked_pass_bitwise(monkeypatch, n):
     # representations runs in fixed row blocks; no block size may change a row
     params = init_model(ModelArch(), seed=n)
     x = np.random.default_rng(n).standard_normal((n, 32)).astype(np.float32)
     reps = representations(params, x)
     assert reps.dtype == np.float64
-    assert reps.tobytes() == representations(params, x, block=n).tobytes()
+    # a cutoff that fits every row in one block
+    widest = max(a * b for a, b in params.arch.layer_shapes()[:-1])
+    monkeypatch.setattr(model, "_SOLO_PRODUCT_MACS", n * widest)
+    assert reps.tobytes() == representations(params, x).tobytes()
 
 
 def test_forward_rejects_bad_inputs():

@@ -86,7 +86,7 @@ def test_reference_sets_take_a_1d_array_as_one_row():
         np.testing.assert_array_equal(getattr(one, field), getattr(two_d, field))
     index = build_index(row)
     assert (index.rows, index.dims) == (1, 2)
-    np.testing.assert_allclose(index.vectors, [[0.6, 0.8]])
+    np.testing.assert_allclose(index.unit[: index.rows], [[0.6, 0.8]])
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def test_knn_chunking_is_invisible(monkeypatch):
     # one-row tail at chunk 7
     queries = rng.standard_normal((400, 3))
     base = knn_distance_batch(index, queries)
-    # index tiles of 50, 3 (17 tiles, the last overlapping), 2 and 17 rows
+    # index tiles of 32, 8, 8 and 16 rows over the 56 padded rows
     for chunk, cols in ((2, 50), (7, 3), (1024, 2), (7, 17)):
         monkeypatch.setattr(ood_select, "KNN_CHUNK", chunk)
         monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", 8 * chunk * cols)
@@ -254,8 +254,9 @@ def test_knn_chunking_is_invisible(monkeypatch):
     index = build_index(rng.standard_normal((3_000, 32)))
     queries = rng.standard_normal((401, 32))
     base = knn_distance_batch(index, queries)
-    # screened 1,000-row tiles (the default) and 752-row tiles, and
-    # unscreened 1,000-row tiles and 3,000-row tiles
+    # 1,000-row tiles screened three at a time (the default), 752-row tiles
+    # four at a time, and 1,000- and 1,504-row tiles one at a time, where
+    # the float32 copy leaves no room for more
     for chunk, budget, tile in ((7, 15_360_000, 800), (64, 512_512, 2048), (2, 48_016, 2048)):
         monkeypatch.setattr(ood_select, "KNN_CHUNK", chunk)
         monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", budget)
@@ -268,7 +269,8 @@ def whole_index_distances(index, queries) -> np.ndarray:
     index, padded to a multiple of 8 rows: unpadded, the bits of its last
     rows change with the number of queries in the product."""
     unit = queries / np.linalg.norm(queries, axis=1)[:, None]
-    padded = np.vstack([index.vectors, np.repeat(index.vectors[-1:], -index.rows % 8, axis=0)])
+    rows = index.unit[: index.rows]
+    padded = np.vstack([rows, np.repeat(rows[-1:], -index.rows % 8, axis=0)])
     best = np.concatenate([(unit[start : start + 100] @ padded.T).max(axis=1)
                            for start in range(0, len(unit), 100)])
     return np.clip(1.0 - best, 0.0, 2.0)
@@ -321,7 +323,7 @@ def test_knn_nearest_neighbour_outside_the_float32_argmax_tile(monkeypatch):
         query, a, b = np.stack([np.cos(turns), np.sin(turns)], axis=1)
         index = build_index(np.vstack([a, filler[:7], b, filler[7:]]))
         unit = query / np.linalg.norm(query)
-        exact = unit @ index.vectors.T
+        exact = unit @ index.unit[: index.rows].T
         short = unit.astype(np.float32) @ index.screen.T
         if exact[0] < exact[8] and short[0] > short[8]:
             break
@@ -347,6 +349,26 @@ def test_knn_memory_fits_the_budget_with_the_float32_copy():
     assert peak + index.screen.nbytes <= ood_select.KNN_BUFFER_BYTES + query_bytes
 
 
+def test_knn_memory_when_the_float32_copy_fills_the_budget():
+    """An index whose float32 copy alone fills ``KNN_BUFFER_BYTES`` is still
+    screened, one tile at a time: the call holds one float64 tile and one
+    screen tile beside query-sized arrays, and keeps the bits of one
+    whole-index product."""
+    rng = np.random.default_rng(12)
+    dims, n, chunk = 128, 1_000, ood_select.KNN_CHUNK
+    index = build_index(rng.standard_normal((30_000, dims)))
+    assert index.screen.nbytes >= ood_select.KNN_BUFFER_BYTES
+    queries = rng.standard_normal((n, dims))
+    expected = whole_index_distances(index, queries)
+    assert knn_distance_batch(index, queries).tobytes() == expected.tobytes()
+    # one float64 and one float32 tile of at most KNN_TILE rows per chunk;
+    # query-sized arrays as in the test above
+    tiles = -(-index.rows // ood_select.KNN_TILE)
+    query_bytes = n * (8 + tiles + 8) + 4 * chunk * dims * 8
+    tile_bytes = (8 + 4) * chunk * ood_select.KNN_TILE
+    assert traced_peak(knn_distance_batch, index, queries) <= tile_bytes + query_bytes
+
+
 @given(st.integers(1, 6_000), st.integers(1, 3_000))
 def test_knn_tile_width_is_a_multiple_of_8(eighths, most):
     # every tile then starts at a multiple of 8 and, over an index padded
@@ -359,7 +381,7 @@ def test_knn_tile_width_is_a_multiple_of_8(eighths, most):
 def test_knn_index_tiles_follow_the_index_size(monkeypatch):
     """Tiles cover the index padded to a multiple of 8 rows; the float32
     copy, the screen and one float64 tile share the byte budget, and
-    without room for the screen the float64 tiles fill it."""
+    without room for more the screen takes one tile at a time."""
     rng = np.random.default_rng(9)
 
     def plan(rows, dims=32):
@@ -372,14 +394,14 @@ def test_knn_index_tiles_follow_the_index_size(monkeypatch):
     # 1,000-row tiles leave room for 14 of them in float32
     assert plan(20_000) == ([1_000] * 20, 14)
     assert plan(10_001) == ([1_008] * 9 + [936], 10)
-    assert plan(1_024) == ([1_024], 0)
+    assert plan(1_024) == ([1_024], 1)
     assert plan(1_025) == ([520, 512], 2)
-    # the float32 copy fills the budget: float64 tiles of up to 10,000 rows
-    assert plan(30_000, 128) == ([10_000] * 3, 0)
+    # the float32 copy fills the budget: one tile per screen product
+    assert plan(30_000, 128) == ([1_000] * 30, 1)
     # no tile is shorter than 8 rows
     monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", 1)
-    assert plan(3, 2) == ([8], 0)
-    assert plan(17, 2) == ([8] * 3, 0)
+    assert plan(3, 2) == ([8], 1)
+    assert plan(17, 2) == ([8] * 3, 1)
 
 
 def test_knn_similarity_buffer_is_reused(monkeypatch):
