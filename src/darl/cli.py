@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -73,7 +72,7 @@ from .ood_select import (
     save_thresholds,
     write_score_report,
 )
-from .util import canonical_json, sha256_file
+from .util import bounded, canonical_json, sha256_file
 
 
 @dataclass(frozen=True)
@@ -86,38 +85,17 @@ class RunConfig(ExperimentConfig):
     """
 
     seed: int = 7
-    alpha: float = 0.6
-    budgets: tuple[float, ...] = DEFAULT_BUDGETS
+    alpha: float = bounded(0.6, "[0, 1]")
+    budgets: tuple[float, ...] = bounded(DEFAULT_BUDGETS, "[0, 1]")
     trend_seeds: tuple[int, ...] = TREND_SEEDS
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
-        if not (isinstance(self.alpha, (int, float)) and 0.0 <= self.alpha <= 1.0):
-            raise ConfigError("alpha", f"must be a number in [0, 1], got {self.alpha!r}")
 
-
-def _typed(key: str, value, default):
-    """``value`` checked against the JSON type of ``default``; lists become tuples."""
-    if isinstance(default, tuple):
-        if not isinstance(value, list):
-            raise ConfigError(key, f"must be a list, got {value!r}")
-        return tuple(_typed(key, item, default[0]) for item in value)
-    if isinstance(default, bool):
-        ok, kind = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif isinstance(default, float):
-        ok = isinstance(value, float) and math.isfinite(value) or (
-            isinstance(value, int) and not isinstance(value, bool)
-        )
-        kind = "a finite number"
-    else:
-        ok, kind = isinstance(value, str), "a string"
-    if not ok:
-        raise ConfigError(key, f"must be {kind}, got {value!r}")
-    return value
+def _section(name: str, section, values: dict):
+    """``section`` with ``values`` replaced; an error names ``name.field``."""
+    try:
+        return dataclasses.replace(section, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc.field}", exc.message) from None
 
 
 def _build_config(file_values: dict, overrides: dict) -> RunConfig:
@@ -132,23 +110,16 @@ def _build_config(file_values: dict, overrides: dict) -> RunConfig:
     unknown = set(file_values) - known
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown config key")
-    kwargs: dict = {}
+    kwargs = dict(file_values)
     for name, value in file_values.items():
         default = getattr(defaults, name)
         if dataclasses.is_dataclass(default):
             if not isinstance(value, dict):
                 raise ConfigError(name, "must be a JSON object")
-            valid = {f.name for f in dataclasses.fields(default)}
-            bad = set(value) - valid
+            bad = set(value) - {f.name for f in dataclasses.fields(default)}
             if bad:
                 raise ConfigError(f"{name}.{sorted(bad)[0]}", "unknown config key")
-            typed = {
-                k: _typed(f"{name}.{k}", v, getattr(default, k))
-                for k, v in value.items()
-            }
-            kwargs[name] = dataclasses.replace(default, **typed)
-        else:
-            kwargs[name] = _typed(name, value, default)
+            kwargs[name] = _section(name, default, value)
     config = RunConfig(**kwargs)
     for name in ("corpus", "plan"):
         nested = file_values.get(name, {}).get("seed", config.seed)
@@ -161,9 +132,8 @@ def _build_config(file_values: dict, overrides: dict) -> RunConfig:
     if overrides.get("rho") is not None:
         config = dataclasses.replace(config, rho=overrides["rho"])
     if overrides.get("fpr") is not None:
-        config = dataclasses.replace(
-            config, policy=dataclasses.replace(config.policy, alpha_fpr=overrides["fpr"])
-        )
+        policy = _section("policy", config.policy, {"alpha_fpr": overrides["fpr"]})
+        config = dataclasses.replace(config, policy=policy)
     if overrides.get("alpha") is not None:
         config = dataclasses.replace(config, alpha=overrides["alpha"])
     return config

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -22,14 +22,13 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
-    ConfigError,
     DataFormatError,
     DimensionMismatchError,
     DuplicateIdError,
     NonFiniteValueError,
     TruncatedPayloadError,
 )
-from .util import BLOCK_ROWS, order_stat_quantile, sub_rng
+from .util import BLOCK_ROWS, bounded, check_config, order_stat_quantile, sub_rng
 
 EMBEDDING_MAGIC = b"EMB1"
 LABEL_HEADER = "id\tgrade\torigin"
@@ -175,41 +174,23 @@ class SyntheticConfig:
     """Recipe for the synthetic corpus; every field has a workable default
     and is checked on construction."""
 
-    dims: int = 32
-    id_cluster_count: int = 8
-    ood_cluster_count: int = 4
-    ood_shift_norm: float = 6.0
+    dims: int = bounded(32, "[1, inf)")
+    id_cluster_count: int = bounded(8, "[1, inf)")
+    ood_cluster_count: int = bounded(4, "[1, inf)")
+    ood_shift_norm: float = bounded(6.0, "[0, inf)")  # 0: no shift, to sanity-check selection
     ood_concept_shift: bool = True
-    label_noise_rate: float = 0.05
-    train_size: int = 10_000
-    val_size: int = 2_000
-    test_size: int = 4_000
-    pool_size: int = 50_000
-    pool_ood_fraction: float = 0.3
-    pretrain_size: int = 1_000
-    pretrain_extra_clusters: int = 8
+    label_noise_rate: float = bounded(0.05, "[0, 0.5)")
+    train_size: int = bounded(10_000, "[1, inf)")
+    val_size: int = bounded(2_000, "[1, inf)")
+    test_size: int = bounded(4_000, "[1, inf)")
+    pool_size: int = bounded(50_000, "[1, inf)")
+    pool_ood_fraction: float = bounded(0.3, "[0, 1)")
+    pretrain_size: int = bounded(1_000, "[1, inf)")
+    pretrain_extra_clusters: int = bounded(8, "[1, inf)")
     seed: int = 7
 
     def __post_init__(self) -> None:
-        # every int field but the seed is a count
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and f.name != "seed" and (not isinstance(value, int) or value <= 0):
-                raise ConfigError(f.name, f"must be a positive integer, got {value!r}")
-        if not 0.0 <= self.label_noise_rate < 0.5:
-            raise ConfigError(
-                "label_noise_rate", f"must be in [0, 0.5), got {self.label_noise_rate!r}"
-            )
-        # 0 is the degenerate no-shift mode used to sanity-check selection
-        if self.ood_shift_norm < 0.0:
-            raise ConfigError(
-                "ood_shift_norm", f"must be >= 0, got {self.ood_shift_norm!r}"
-            )
-        if not 0.0 <= self.pool_ood_fraction < 1.0:
-            raise ConfigError(
-                "pool_ood_fraction",
-                f"must be in [0, 1), got {self.pool_ood_fraction!r}",
-            )
+        check_config(self)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ class ConfigError(DarlError, ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 class DataFormatError(DarlError, ValueError):

@@ -64,7 +64,7 @@ from .ood_select import (
     mahalanobis_batch,
     select_ood,
 )
-from .util import BLOCK_ROWS, config_hash, parallel, row_blocks, sub_rng
+from .util import BLOCK_ROWS, bounded, check_config, config_hash, parallel, row_blocks, sub_rng
 
 TREND_SEEDS = (11, 12, 13, 14, 15)
 DEFAULT_BUDGETS = (0.25, 0.5, 0.75, 1.0)
@@ -83,14 +83,12 @@ class ExperimentConfig:
 
     corpus: SyntheticConfig = SyntheticConfig()
     plan: StagePlan = StagePlan()
-    rho: float = 0.1
+    rho: float = bounded(0.1, CalibrationPrior.RHO)
     policy: ThresholdPolicy = ThresholdPolicy(mode="fpr", alpha_fpr=0.12)
-    eval_fraction: float = 0.2
+    eval_fraction: float = bounded(0.2, "(0, 1)")
 
     def __post_init__(self) -> None:
-        CalibrationPrior(self.rho)
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise ConfigError("eval_fraction", "must lie strictly between 0 and 1")
+        check_config(self)
 
     def for_seed(self, seed: int) -> "ExperimentConfig":
         return dataclasses.replace(

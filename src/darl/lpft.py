@@ -24,7 +24,7 @@ from .model import (
     init_model,
     init_opt,
 )
-from .util import sub_rng
+from .util import bounded, check_config, sub_rng
 
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -37,37 +37,20 @@ class StagePlan:
     fine-tuned checkpoint equals the probe checkpoint.
     """
 
-    pretrain_epochs: int = 30
-    pretrain_lr: float = 1e-3
-    lp_epochs: int = 30
-    lp_lr: float = 5e-4
-    ft_epochs: int = 15
-    ft_lr: float = 1e-4
-    batch_size: int = 64
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    head_boost: float = 4.0
+    pretrain_epochs: int = bounded(30, "[1, inf)")
+    pretrain_lr: float = bounded(1e-3, "(0, inf)")
+    lp_epochs: int = bounded(30, "[1, inf)")
+    lp_lr: float = bounded(5e-4, "(0, inf)")
+    ft_epochs: int = bounded(15, "[0, inf)")
+    ft_lr: float = bounded(1e-4, "(0, inf)")
+    batch_size: int = bounded(64, "[1, inf)")
+    alpha_grid: tuple[float, ...] = bounded(DEFAULT_ALPHA_GRID, "[0, 1]", nonempty=True)
+    head_boost: float = bounded(4.0, "(0, inf)")
     seed: int = 7
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
-        if self.pretrain_epochs < 1:
-            raise ConfigError("pretrain_epochs", "must be >= 1")
-        if self.lp_epochs < 1:
-            raise ConfigError("lp_epochs", "must be >= 1")
-        if self.ft_epochs < 0:
-            raise ConfigError("ft_epochs", "must be >= 0")
-        for name in ("pretrain_lr", "lp_lr", "ft_lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(name, "must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", "must be >= 1")
-        if self.head_boost <= 0:
-            raise ConfigError("head_boost", "must be positive")
-        grid = self.alpha_grid
-        if not grid:
-            raise ConfigError("alpha_grid", "must be nonempty")
-        if any(not (0.0 <= a <= 1.0) for a in grid):
-            raise ConfigError("alpha_grid", "values must lie in [0, 1]")
+        check_config(self)
+        object.__setattr__(self, "alpha_grid", grid := tuple(map(float, self.alpha_grid)))
         if list(grid) != sorted(set(grid)):
             raise ConfigError("alpha_grid", "values must be sorted and unique")
 

@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteValueError,
     TruncatedPayloadError,
 )
-from .util import canonical_json, finite_rows, row_blocks, sub_rng
+from .util import bounded, canonical_json, check_config, finite_rows, row_blocks, sub_rng
 
 CHECKPOINT_MAGIC = b"DARL"
 CHECKPOINT_VERSION = 1
@@ -58,17 +58,11 @@ _SOLO_PRODUCT_MACS = 1 << 19
 class ModelArch:
     """Shape of the scorer: input width and hidden widths."""
 
-    input_dims: int = 32
-    hidden: tuple[int, ...] = (64, 32)
+    input_dims: int = bounded(32, "[1, inf)")
+    hidden: tuple[int, ...] = bounded((64, 32), "[1, inf)", nonempty=True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        if self.input_dims <= 0:
-            raise ConfigError("input_dims", "must be positive")
-        if not self.hidden:
-            raise ConfigError("hidden", "needs at least one hidden layer")
-        if any(w <= 0 for w in self.hidden):
-            raise ConfigError("hidden", "all hidden widths must be positive")
+        check_config(self)
 
     @property
     def rep_dims(self) -> int:
@@ -238,11 +232,11 @@ class CalibrationPrior:
     the positive side and every entry strictly positive.
     """
 
-    rho: float = 0.1
+    RHO = "(0, 1/3)"  # also bounds ExperimentConfig.rho
+    rho: float = bounded(0.1, RHO)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rho < 1.0 / 3.0):
-            raise ConfigError("rho", "must lie strictly between 0 and 1/3")
+        check_config(self)
 
     def positive_mass(self) -> np.ndarray:
         """Prior mass on the positive outcome, indexed by grade value."""
@@ -477,7 +471,7 @@ def load_checkpoint(path) -> ModelParams:
     stored_print = blob[offset : offset + 32].hex()
     offset += 32
     try:
-        arch = ModelArch(input_dims, tuple(hidden))
+        arch = ModelArch(input_dims, hidden)
     except ConfigError as exc:
         raise CheckpointError(f"invalid checkpoint architecture: {exc}") from exc
     if stored_print != arch.fingerprint():

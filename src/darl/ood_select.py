@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     NonFiniteValueError,
     SingularCovarianceError,
 )
-from .util import BLOCK_ROWS, finite_rows, order_stat_quantile, row_blocks
+from .util import BLOCK_ROWS, bounded, check_config, finite_rows, order_stat_quantile, row_blocks
 
 DEFAULT_RIDGE_SCALE = 1e-4
 MIN_CALIBRATION_SAMPLES = 50
@@ -254,17 +255,12 @@ class ThresholdPolicy:
     labeled validation distances for the best detection F1.
     """
 
-    mode: str = "fpr"
-    alpha_fpr: float = 0.05
-    grid_points: int = 21
+    mode: Literal["fpr", "f1"] = "fpr"
+    alpha_fpr: float = bounded(0.05, "[0, 1)")
+    grid_points: int = bounded(21, "[2, inf)")
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fpr", "f1"):
-            raise ConfigError("mode", f"must be 'fpr' or 'f1', got {self.mode!r}")
-        if not (0.0 <= self.alpha_fpr < 1.0):
-            raise ConfigError("alpha_fpr", "must lie in [0, 1)")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points", "needs at least 2 grid points")
+        check_config(self)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Small shared helpers: seeded RNG derivation, row checks and blocks,
-order-statistic quantiles, hashing, and forked parallel calls."""
+"""Small shared helpers: seeded RNG derivation, config checks, row checks
+and blocks, order-statistic quantiles, hashing, and forked parallel calls."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -10,12 +12,13 @@ import os
 import pickle
 import signal
 import sys
+import typing
 import zlib
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteValueError, WorkerError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteValueError, WorkerError
 
 
 def sub_rng(seed: int, *tags: str | int) -> np.random.Generator:
@@ -31,6 +34,76 @@ def sub_rng(seed: int, *tags: str | int) -> np.random.Generator:
         else:
             entropy.append(zlib.crc32(tag.encode("utf-8")))
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def bounded(default, interval: str, nonempty: bool = False) -> Any:
+    """A config field whose value, or each item of its tuple, lies in
+    ``interval``, such as ``"[0, 1)"``, ``"(0, inf)"`` or ``"(0, 1/3)"``;
+    ``nonempty`` also rejects an empty tuple."""
+    ends = [end.strip().partition("/") for end in interval[1:-1].split(",")]
+    lo, hi = (float(num) / float(den or 1) for num, _, den in ends)
+    shut = [lo] * (interval[0] == "(") + [hi] * (interval[-1] == ")")  # open ends
+    meta = {"interval": (interval, lo, hi, shut), "nonempty": nonempty}
+    return dataclasses.field(default=default, metadata=meta)
+
+
+# scalar annotation -> (what a value must be, its test)
+_SCALARS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number",
+            lambda v: type(v) is int or isinstance(v, float) and math.isfinite(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_rules(cls) -> dict:
+    """Field name -> (holds a tuple, what each item must be, its test);
+    ``TypeError`` for an annotation that ``check_config`` cannot check."""
+    hints, rules = typing.get_type_hints(cls), {}
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        many = typing.get_origin(hints[f.name]) is tuple and args[1:] == (Ellipsis,)
+        item = args[0] if many else hints[f.name]
+        choices = typing.get_args(item) if typing.get_origin(item) is typing.Literal else ()
+        if item in _SCALARS:
+            rule = _SCALARS[item]
+        elif dataclasses.is_dataclass(item):
+            rule = f"a {item.__name__}", lambda v, t=item: isinstance(v, t)
+        elif choices and all(isinstance(c, str) for c in choices):
+            rule = " or ".join(map(repr, choices)), lambda v, t=choices: type(v) is str and v in t
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name}: cannot check {hints[f.name]}")
+        rules[f.name] = (many, *rule)
+    return rules
+
+
+def check_config(config) -> None:
+    """Check every field of a frozen config dataclass; a ``ConfigError``
+    names the first bad field.
+
+    bool is not int, an int is a float, a float is finite, a ``Literal`` of
+    strings takes one of them, a section is its dataclass, and a
+    ``tuple[X, ...]`` takes a list or tuple of ``X`` and stores a tuple.  A
+    ``bounded`` value, or each item, lies in its interval.  Nothing else is
+    converted: an int given for a float stays an int.
+    """
+    rules = _field_rules(type(config))
+    for f in dataclasses.fields(config):
+        value, (many, kind, test) = getattr(config, f.name), rules[f.name]
+        if many:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f.name, f"must be a list, got {value!r}")
+            object.__setattr__(config, f.name, value := tuple(value))
+            if f.metadata.get("nonempty") and not value:
+                raise ConfigError(f.name, "must not be empty")
+        interval, lo, hi, shut = f.metadata.get("interval", (None,) * 4)
+        for item in value if many else (value,):
+            if not test(item):
+                raise ConfigError(f.name, f"must be {kind}, got {item!r}")
+            if interval and not (lo <= item <= hi and item not in shut):
+                raise ConfigError(f.name, f"must be in {interval}, got {item!r}")
 
 
 def finite_rows(x, width: int | None, what: str, widen: bool = True) -> np.ndarray:

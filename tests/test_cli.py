@@ -176,6 +176,12 @@ def test_invalid_rho_override(tmp_path, capsys):
     assert "rho" in capsys.readouterr().err
 
 
+def test_invalid_fpr_override_names_the_section(tmp_path, capsys):
+    code = main(["gen-data", "--run-dir", str(tmp_path), "--fpr", "1.5", "--print-config"])
+    assert code == 2
+    assert capsys.readouterr().err == "darl: error: policy.alpha_fpr: must be in [0, 1), got 1.5\n"
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [
@@ -193,12 +199,17 @@ def test_invalid_rho_override(tmp_path, capsys):
         ({"plan": {"alpha_grid": [0.0, float("-inf")]}}, "plan.alpha_grid"),
         ({"plan": {"seed": 99}}, "plan.seed"),
         ({"plan": {"seed": 99}, "corpus": {"seed": 5}}, "corpus.seed"),
+        ({"corpus": {"dims": 0}}, "corpus.dims"),
+        ({"plan": {"lp_lr": -1}}, "plan.lp_lr"),
+        ({"policy": {"grid_points": 1}}, "policy.grid_points"),
+        ({"budgets": [0.5, 1.5]}, "budgets"),
     ],
     ids=[
         "eval_fraction-above-1", "eval_fraction-zero", "no-pool-ood", "seed",
         "alpha", "budgets-not-list", "batch_size-string", "shift-norm-nan",
         "budget-nan", "lp_lr-nan", "head_boost-inf", "alpha_grid-minus-inf",
-        "plan-seed-differs", "corpus-seed-differs",
+        "plan-seed-differs", "corpus-seed-differs", "corpus-dims-zero",
+        "plan-lp_lr-negative", "policy-grid_points-one", "budget-above-1",
     ],
 )
 def test_bad_config_is_rejected_before_any_file(tmp_path, capsys, payload, field):

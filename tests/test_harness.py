@@ -324,7 +324,7 @@ def test_a_diverging_stage_in_a_worker_raises_in_the_parent(monkeypatch):
     prep = prepare(SMALL, 5)
     plan = SMALL.for_seed(5).plan
     train = partial(run_training, prep.backbone, prep.corpus.train_id, None, stage="single-stage")
-    diverging = partial(train, plan=dataclasses.replace(plan, ft_lr=np.inf))
+    diverging = partial(train, plan=dataclasses.replace(plan, ft_lr=1e308))
     monkeypatch.setattr(util, "available_cpus", lambda: 2)
     with np.errstate(invalid="ignore"):
         with pytest.raises(DivergenceError) as serial:

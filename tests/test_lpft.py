@@ -181,7 +181,7 @@ def test_run_training_leaves_its_input_untouched():
 def test_run_training_rejects_a_diverging_stage():
     data = as_dataset(*toy_binary_task())
     params = init_model(ModelArch(2, (8, 4)), seed=6)
-    plan = dataclasses.replace(UNIT_PLAN, ft_epochs=1, ft_lr=np.inf)
+    plan = dataclasses.replace(UNIT_PLAN, ft_epochs=1, ft_lr=1e308)
     with pytest.raises(DivergenceError, match="non-finite model parameter"):
         run_training(params, data, None, plan, "ft")
 
