@@ -86,8 +86,8 @@ class RunConfig(ExperimentConfig):
 
     seed: int = 7
     alpha: float = bounded(0.6, "[0, 1]")
-    budgets: tuple[float, ...] = bounded(DEFAULT_BUDGETS, "[0, 1]")
-    trend_seeds: tuple[int, ...] = TREND_SEEDS
+    budgets: tuple[float, ...] = bounded(DEFAULT_BUDGETS, "[0, 1]", nonempty=True)
+    trend_seeds: tuple[int, ...] = bounded(TREND_SEEDS, "(-inf, inf)", nonempty=True)
 
 
 def _section(name: str, section, values: dict):

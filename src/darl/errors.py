@@ -96,6 +96,7 @@ class RunDirError(DarlError):
 
 
 class WorkerError(DarlError):
-    """A forked worker process ended without sending back its results."""
+    """A forked worker process died, or a task's result could not be pickled
+    back to the parent."""
 
     exit_code = 1

@@ -1,5 +1,6 @@
 """Shared fixtures: small corpora and architectures sized for fast tests."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,12 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def graded(f1_id: float, f1_ood: float, acc_id: float = 0.0, acc_ood: float = 0.0) -> dict:

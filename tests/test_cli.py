@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darl import cli, util
+from darl import cli, harness, util
 from darl.cli import RunConfig, main
 
 TINY_JSON = {
@@ -203,6 +203,8 @@ def test_invalid_fpr_override_names_the_section(tmp_path, capsys):
         ({"plan": {"lp_lr": -1}}, "plan.lp_lr"),
         ({"policy": {"grid_points": 1}}, "policy.grid_points"),
         ({"budgets": [0.5, 1.5]}, "budgets"),
+        ({"trend_seeds": []}, "trend_seeds"),
+        ({"budgets": []}, "budgets"),
     ],
     ids=[
         "eval_fraction-above-1", "eval_fraction-zero", "no-pool-ood", "seed",
@@ -210,6 +212,7 @@ def test_invalid_fpr_override_names_the_section(tmp_path, capsys):
         "budget-nan", "lp_lr-nan", "head_boost-inf", "alpha_grid-minus-inf",
         "plan-seed-differs", "corpus-seed-differs", "corpus-dims-zero",
         "plan-lp_lr-negative", "policy-grid_points-one", "budget-above-1",
+        "trend_seeds-empty", "budgets-empty",
     ],
 )
 def test_bad_config_is_rejected_before_any_file(tmp_path, capsys, payload, field):
@@ -573,6 +576,26 @@ def test_a_stage_diverging_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
         code = main(["ablate", "--config", str(path), "--run-dir", str(tmp_path / "run")])
     assert code == 3
     assert capsys.readouterr().err == "darl: error: non-finite model parameter\n"
+
+
+def test_a_worker_dying_during_ablate_exits_1(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def dying_probe(*args):
+        assert os.getpid() != parent, "the probe ran in the test process"
+        os._exit(9)
+
+    # rung 4's probe trains in a forked worker beside rungs 1-3
+    monkeypatch.setattr(util, "available_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "ladder_models", harness.ladder_models.__wrapped__)
+    monkeypatch.setattr(harness, "linear_probe", dying_probe)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY_JSON, "trend_seeds": [5]}), encoding="utf-8")
+    code = main(["ablate", "--config", str(path), "--run-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("darl: error: ")
+    assert "Traceback" not in err
 
 
 def test_sweep_budget_rejects_a_budget_above_one(tmp_path, capsys):

@@ -28,7 +28,7 @@ SAMPLES = {
     errors.CheckpointError: errors.CheckpointError("crc mismatch"),
     errors.MissingArtifactError: errors.MissingArtifactError("run/thresholds.json", "fit-ood"),
     errors.RunDirError: errors.RunDirError("cannot create run/"),
-    errors.WorkerError: errors.WorkerError("worker process 1 ended with exit status -9"),
+    errors.WorkerError: errors.WorkerError("a worker process ended before sending its results"),
 }
 
 

@@ -1,14 +1,21 @@
 """Experiment orchestration: prepared corpora, ladders, sweeps, tables."""
 
 import dataclasses
-import os
 import pickle
 import re
 from functools import partial
 
 import numpy as np
 import pytest
-from conftest import TINY_ARCH, TINY_CONFIG, TINY_PLAN, graded, make_dataset, traced_peak
+from conftest import (
+    TINY_ARCH,
+    TINY_CONFIG,
+    TINY_PLAN,
+    assert_no_child_left,
+    graded,
+    make_dataset,
+    traced_peak,
+)
 
 from darl import harness, model, util
 from darl.dataset import Origin, SyntheticConfig, generate_synthetic
@@ -298,11 +305,6 @@ def uncached(monkeypatch):
         monkeypatch.setattr(harness, name, getattr(harness, name).__wrapped__)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_forked_workers_match_a_serial_run_bitwise(monkeypatch, uncached):
     runs = []
     for cpus in (1, 2):
@@ -314,7 +316,8 @@ def test_forked_workers_match_a_serial_run_bitwise(monkeypatch, uncached):
             sweep,
             run_ablation(SMALL, 5),
             occ_effect(SMALL, 5),
-            budget_sweep(SMALL, 5),
+            # each row on its own: rows unpickled apart share no pickle memo
+            [pickle.dumps(row) for row in budget_sweep(SMALL, 5)],
         )))
     assert runs[0] == runs[1]
     assert_no_child_left()

@@ -207,9 +207,24 @@ def test_scipy_loads_at_the_first_mahalanobis_distance():
         "mahalanobis_batch(fit_gaussian(np.eye(3)), np.zeros(3))",
         "print('scipy.linalg' in sys.modules)",
     ])
+    assert _run_probe(probe) == ["[]", "True"]
+
+
+def test_the_process_pool_loads_at_the_first_parallel_call():
+    # concurrent.futures adds ~10 ms to start-up, and only util.parallel uses it
+    probe = "\n".join([
+        "import sys",
+        "import darl.cli, darl.harness",
+        "print('concurrent.futures' in sys.modules)",
+    ])
+    assert _run_probe(probe) == ["False"]
+
+
+def _run_probe(probe: str) -> list[str]:
+    """The stdout lines of ``python -c probe`` with ``darl`` importable."""
     env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True"]
+    return done.stdout.splitlines()

@@ -5,11 +5,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from functools import partial
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -205,11 +208,6 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def fail(error: Exception):
     raise error
 
@@ -226,11 +224,17 @@ def test_parallel_returns_results_in_input_order(cpus, n_cpus):
     assert_no_child_left()
 
 
-def test_parallel_deals_tasks_round_robin_to_forked_workers(cpus):
+def test_parallel_deals_each_task_to_the_next_free_worker(cpus):
     cpus(2)
-    pids = parallel(*[os.getpid] * 5)
-    assert pids[0::2] == [os.getpid()] * 3
-    assert pids[1] == pids[3] != os.getpid()
+
+    def slow():
+        time.sleep(1)
+        return os.getpid()
+
+    first, *rest = parallel(slow, os.getpid, os.getpid, os.getpid)
+    # the worker running task 0 is busy, so the other worker takes tasks 1-3
+    assert rest == [rest[0]] * 3
+    assert len({first, rest[0], os.getpid()}) == 3
     assert_no_child_left()
 
 
@@ -242,9 +246,8 @@ def test_parallel_runs_serially_with_one_cpu(cpus):
 def test_parallel_runs_a_nested_call_serially(cpus):
     cpus(2)
     nested = partial(parallel, os.getpid, os.getpid)
-    in_parent, in_child = parallel(nested, nested)
-    assert in_parent == [os.getpid()] * 2
-    assert in_child[0] == in_child[1] != os.getpid()
+    for pids in parallel(nested, nested):
+        assert pids[0] == pids[1] != os.getpid()
     assert_no_child_left()
 
 
@@ -254,16 +257,17 @@ def test_parallel_reraises_a_worker_error_in_the_parent(cpus):
         parallel(int, partial(fail, ConfigError("rho", "must be small")), int)
     assert str(info.value) == "rho: must be small"
     assert info.value.field == "rho"
-    assert "raised in worker process" in info.value.__notes__[0]
+    # the worker's traceback comes back as the cause
+    assert "in fail" in str(info.value.__cause__)
     assert_no_child_left()
 
 
 def test_parallel_raises_the_first_failure_in_input_order(cpus):
     cpus(2)
-    # this process fails at task 2; the child fails first, at task 1
+    # task 2 may fail before task 1 finishes; task 1's failure is raised
     with pytest.raises(ValueError, match="task 1"):
         parallel(int, *(partial(fail, ValueError(f"task {i}")) for i in (1, 2, 3)))
-    # a failure at task 0 kills the child at once: all its tasks come later
+    # a failure at task 0 kills the worker still running task 1
     start = time.perf_counter()
     with pytest.raises(ValueError, match="task 0"):
         parallel(partial(fail, ValueError("task 0")), partial(time.sleep, 60))
@@ -271,15 +275,32 @@ def test_parallel_raises_the_first_failure_in_input_order(cpus):
     assert_no_child_left()
 
 
-def test_parallel_names_the_exit_status_of_a_dead_worker(cpus):
+def test_parallel_reports_a_dead_worker(cpus):
     cpus(2)
-    with pytest.raises(WorkerError, match="exit status 7 before sending"):
+    with pytest.raises(WorkerError, match="ended before sending its results"):
         parallel(int, partial(os._exit, 7))
     assert_no_child_left()
 
 
+def test_parallel_workers_never_repeat_buffered_output():
+    # a forked worker inherits the caller's unflushed stdout buffer
+    probe = "\n".join([
+        "from darl import util",
+        "util.available_cpus = lambda: 2",
+        "print('once', end='')",
+        "util.parallel(int, int, int)",
+    ])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(util.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "once"
+
+
 def test_parallel_reports_a_result_it_cannot_send(cpus):
     cpus(2)
-    with pytest.raises(WorkerError, match="worker 1 cannot send its results"):
+    with pytest.raises(WorkerError, match="task 1 returned a result that cannot be pickled"):
         parallel(int, lambda: lambda: None)
     assert_no_child_left()
