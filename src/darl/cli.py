@@ -333,12 +333,12 @@ def cmd_sweep_alpha(run: _Run, args) -> None:
     """Evaluate every blend coefficient on validation data."""
     phi_lp, phi_ft = _stage_checkpoints(run)
     val_id, val_ood = run.load_dataset("val_id"), run.load_dataset("val_ood")
-    result = alpha_sweep(phi_lp, phi_ft, run.config.plan.alpha_grid, val_id, val_ood)
+    result = alpha_sweep(phi_lp, phi_ft, run.config.plan, val_id, val_ood)
     run.save("alpha_sweep.tsv", write_alpha_table, result, run.header())
-    text = json.dumps({"best_alpha": result.best_alpha}) + "\n"
+    text = json.dumps({"best_alpha": result.best.alpha}) + "\n"
     run.save("best_alpha.json", run.text_file, text)
-    print(f"sweep-alpha: best alpha {result.best_alpha:g} "
-          f"(combined f1 {result.best_row.combined:.4f}) -> alpha_sweep.tsv")
+    print(f"sweep-alpha: best alpha {result.best.alpha:g} "
+          f"(combined f1 {result.best.combined:.4f}) -> alpha_sweep.tsv")
 
 
 def _deployed_checkpoint(run: _Run):
@@ -361,7 +361,7 @@ def cmd_eval(run: _Run, args) -> None:
     lines = [f"# {run.header()} alpha {alpha:g}"]
     lines.append("split\tmacro_f1\taccuracy\tf1_ir\tf1_wr\tf1_sr\tn")
     for split, m in (("id", pair.id_metrics), ("ood", pair.ood_metrics)):
-        grade_f1 = {g.name: s.f1 for g, s in m.per_grade.items()}
+        grade_f1 = {g.name: f1 for g, f1 in m.per_grade.items()}
         lines.append(
             f"{split}\t{m.macro_f1:.4f}\t{m.accuracy:.4f}"
             f"\t{grade_f1['IR']:.4f}\t{grade_f1['WR']:.4f}\t{grade_f1['SR']:.4f}"

@@ -297,40 +297,30 @@ class AlphaRow(EvalPair):
 @dataclass(frozen=True)
 class AlphaSweepResult:
     rows: tuple[AlphaRow, ...]
-    best_alpha: float
-
-    @property
-    def best_row(self) -> AlphaRow:
-        for row in self.rows:
-            if row.alpha == self.best_alpha:
-                return row
-        raise KeyError(self.best_alpha)
+    best: AlphaRow
 
 
 def alpha_sweep(
     phi_lp: ModelParams,
     phi_ft: ModelParams,
-    grid,
+    plan: StagePlan,
     val_id: LabeledDataset,
     val_ood: LabeledDataset,
 ) -> AlphaSweepResult:
-    """Grade every blend coefficient on both validation sets.
+    """Grade every blend coefficient of ``plan.alpha_grid`` on both validation sets.
 
     Each blend is graded by ``evaluate_model`` with the ID validation set as
     its own test set.  The best coefficient maximizes the mean of the two
     macro F1 scores; ties go to the smaller coefficient.
     """
-    grid = tuple(float(a) for a in grid)
-    if not grid:
-        raise ConfigError("alpha_grid", "must be nonempty")
     if val_id.embeddings.rows == 0 or val_ood.embeddings.rows == 0:
         raise DataFormatError("alpha sweep needs nonempty validation sets")
     rows = []
-    for alpha in grid:
+    for alpha in plan.alpha_grid:
         pair = evaluate_model(interpolate(phi_lp, phi_ft, alpha), val_id, val_id, val_ood)
         rows.append(AlphaRow(**vars(pair), alpha=alpha))
     best = max(rows, key=lambda r: (r.combined, -r.alpha))
-    return AlphaSweepResult(rows=tuple(rows), best_alpha=best.alpha)
+    return AlphaSweepResult(rows=tuple(rows), best=best)
 
 
 def write_alpha_table(result: AlphaSweepResult, path, meta: str) -> None:
@@ -374,8 +364,8 @@ def ladder_models(
         return phi_lp, phi_ft
 
     (row1, row2, row3), (phi_lp, phi_ft) = parallel(single_stages, probe_then_finetune)
-    sweep = alpha_sweep(phi_lp, phi_ft, plan.alpha_grid, prep.corpus.val_id, prep.val_ood)
-    row4 = interpolate(phi_lp, phi_ft, sweep.best_alpha)
+    sweep = alpha_sweep(phi_lp, phi_ft, plan, prep.corpus.val_id, prep.val_ood)
+    row4 = interpolate(phi_lp, phi_ft, sweep.best.alpha)
     return (row1, row2, row3, row4), sweep
 
 

@@ -116,20 +116,13 @@ def fit_grade_thresholds(val_scores, val_grades) -> GradeThresholds:
 
 
 @dataclass(frozen=True)
-class GradeScores:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
 class Metrics:
-    """Classification quality over the three grades."""
+    """Classification quality over the three grades; ``per_grade`` maps each
+    grade to its F1."""
 
     macro_f1: float
     accuracy: float
-    per_grade: dict[RelevanceGrade, GradeScores]
+    per_grade: dict[RelevanceGrade, float]
     n: int
 
 
@@ -138,8 +131,7 @@ def compute_metrics(scores, grades, thresholds: GradeThresholds) -> Metrics:
     s, g = _check_pair(scores, grades)
     pred = thresholds.predict(s)
     acc = float(np.mean(pred == g))
-    per_grade: dict[RelevanceGrade, GradeScores] = {}
-    f1s = []
+    per_grade: dict[RelevanceGrade, float] = {}
     for grade in RelevanceGrade:
         v = grade.value
         tp = int(np.count_nonzero((pred == v) & (g == v)))
@@ -147,17 +139,13 @@ def compute_metrics(scores, grades, thresholds: GradeThresholds) -> Metrics:
         n_true = int(np.count_nonzero(g == v))
         precision = tp / n_pred if n_pred else 0.0
         recall = tp / n_true if n_true else 0.0
-        f1 = (
+        per_grade[grade] = (
             2.0 * precision * recall / (precision + recall)
             if precision + recall > 0
             else 0.0
         )
-        per_grade[grade] = GradeScores(
-            precision=precision, recall=recall, f1=f1, support=n_true
-        )
-        f1s.append(f1)
     return Metrics(
-        macro_f1=float(np.mean(f1s)),
+        macro_f1=float(np.mean(list(per_grade.values()))),
         accuracy=acc,
         per_grade=per_grade,
         n=int(s.size),

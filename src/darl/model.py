@@ -37,8 +37,6 @@ CHECKPOINT_VERSION = 1
 ACTIVATION = "tanh"
 _ACTIVATION_TAG = 1
 
-TRAINABLE_CHOICES = ("head", "backbone", "all")
-
 # Hard cross-entropy target per grade: irrelevant maps to 0, both weak and
 # strong relevance map to the positive side; the KL prior separates the two.
 _BINARY_TARGET = np.array([0.0, 1.0, 1.0], dtype=np.float64)
@@ -129,16 +127,12 @@ class ModelParams:
 
 
 def trainable_slice(arch: ModelArch, trainable: str) -> slice:
-    """Contiguous region of the flat vector covered by a trainable choice."""
+    """Region of the flat vector a stage trains: ``"head"`` or ``"all"``."""
     if trainable == "head":
         return slice(arch.backbone_count, arch.param_count)
-    if trainable == "backbone":
-        return slice(0, arch.backbone_count)
     if trainable == "all":
         return slice(0, arch.param_count)
-    raise ConfigError(
-        "trainable", f"must be one of {TRAINABLE_CHOICES}, got {trainable!r}"
-    )
+    raise ConfigError("trainable", f"must be 'head' or 'all', got {trainable!r}")
 
 
 def _layer_views(arch: ModelArch, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -184,18 +178,6 @@ def _hidden(views, a: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
     return a
 
 
-def forward_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Relevance logits for a batch of inputs.
-
-    One pass, never blocks: the head's product rounds differently per row count.
-    """
-    batch = finite_rows(x, params.arch.input_dims, "model input")
-    views = _layer_views(params.arch, params.values)
-    reps = _hidden(views, batch, [np.empty((len(batch), w)) for w in params.arch.hidden])
-    head_w, head_b = views[-1]
-    return (reps @ head_w + head_b)[:, 0]
-
-
 def representations(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Penultimate-layer activations, the space used for OOD scoring.
 
@@ -216,6 +198,13 @@ def representations(params: ModelParams, x: np.ndarray) -> np.ndarray:
     for part in row_blocks(n, block):
         _hidden(views, np.asarray(rows[part], dtype=np.float64), [*outs, reps[part]])
     return reps
+
+
+def forward_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Relevance logits: the head over ``representations``, in one product,
+    since the head's product rounds differently per row count."""
+    head_w, head_b = _layer_views(params.arch, params.values)[-1]
+    return (representations(params, x) @ head_w + head_b)[:, 0]
 
 
 def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -294,7 +283,6 @@ class StageObjective:
             q1 = prior.positive_mass()[g]
             tables += [np.log(q1), np.log(1.0 - q1), prior.target_logits()[g]]
         self._tables = np.stack(tables, axis=1)
-        self._head_grad = region.stop == arch.param_count
         self._backbone_grad = region.start == 0
         self._views = _layer_views(arch, params.values)
         self.grad = np.zeros(arch.param_count, dtype=np.float64)
@@ -306,11 +294,10 @@ class StageObjective:
         if not self._backbone_grad and rows > 1:
             self._reps = representations(params, self._x)
 
-    def __call__(self, take: np.ndarray | None = None, backward: bool = True) -> LossValues:
-        """Mean loss over the in-range row indices ``take`` (default: all rows).
-
-        With ``backward`` on, ``grad`` becomes the gradient of that mean.  The
-        gathers use ``mode="clip"``: ``"raise"`` copies through a temporary.
+    def __call__(self, take: np.ndarray | None = None) -> LossValues:
+        """Mean loss over the in-range row indices ``take`` (default: all rows);
+        ``grad`` becomes the gradient of that mean.  The gathers use
+        ``mode="clip"``: ``"raise"`` copies through a temporary.
         """
         take = np.arange(len(self._x)) if take is None else take
         m = take.size
@@ -339,16 +326,14 @@ class StageObjective:
             kl = float(np.add.reduce(kl_each)) / m
             # d KL / dz = p(1-p) * (z - logit(q1))
             dz = dz + p * (1.0 - p) * (z - target_logit)
-        if backward:
-            self._backward(batch, acts, dz / m)
+        self._backward(batch, acts, dz / m)
         return LossValues(total=ce + kl, ce=ce, kl=kl)
 
     def _backward(self, batch, acts: list[np.ndarray], dz: np.ndarray) -> None:
         """Write the gradient of the batch mean; ``dz`` is dL/dlogit per row."""
-        if self._head_grad:
-            gw, gb = self._grad_views[-1]
-            np.matmul(acts[-1].T, dz, out=gw[:, 0])
-            gb[0] = np.add.reduce(dz)
+        gw, gb = self._grad_views[-1]
+        np.matmul(acts[-1].T, dz, out=gw[:, 0])
+        gb[0] = np.add.reduce(dz)
         if self._backbone_grad:
             head_w, _ = self._views[-1]
             delta = dz[:, None] * head_w[:, 0][None, :]

@@ -37,13 +37,11 @@ KNN_TILE = 1024  # most index rows per float64 tile behind the float32 screen
 class GaussianStats:
     """Fitted Gaussian over training representations.
 
-    ``chol_lower`` is the lower Cholesky factor of covariance + ridge * I,
+    ``chol_lower`` is the lower Cholesky factor of the ridged covariance,
     the factorization through which the inverse is applied.
     """
 
     mean: np.ndarray
-    covariance: np.ndarray
-    ridge: float
     chol_lower: np.ndarray
 
     @property
@@ -51,12 +49,9 @@ class GaussianStats:
         return self.mean.shape[0]
 
 
-def fit_gaussian(reps, ridge: float | None = None) -> GaussianStats:
-    """Sample mean and covariance (divisor rows - 1) with a ridged factor.
-
-    ``ridge`` defaults to ``1e-4 * trace(covariance) / dims``; pass 0.0 to
-    demand an unregularized factorization.
-    """
+def fit_gaussian(reps) -> GaussianStats:
+    """Sample mean and the Cholesky factor of the sample covariance (divisor
+    rows - 1) plus ``1e-4 * trace(covariance) / dims`` on the diagonal."""
     data = finite_rows(reps, None, "representation")
     n, dims = data.shape
     if n < 1:
@@ -68,21 +63,15 @@ def fit_gaussian(reps, ridge: float | None = None) -> GaussianStats:
     else:
         cov = np.zeros((dims, dims), dtype=np.float64)
     cov = 0.5 * (cov + cov.T)
-    if ridge is None:
-        ridge = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / dims
-    ridge = float(ridge)
-    if ridge < 0:
-        raise ConfigError("ridge", "must be >= 0")
+    ridge = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / dims
     try:
         chol = np.linalg.cholesky(cov + ridge * np.eye(dims))
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(
             f"covariance factorization failed at ridge {ridge:g}; "
-            "increase the ridge"
+            "the rows have no spread"
         ) from exc
-    return GaussianStats(
-        mean=mean, covariance=cov, ridge=ridge, chol_lower=chol
-    )
+    return GaussianStats(mean=mean, chol_lower=chol)
 
 
 def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
@@ -324,20 +313,19 @@ def _validate_scores(mahal, knn, label: str) -> tuple[np.ndarray, np.ndarray]:
 def calibrate_thresholds(
     id_mahal,
     id_knn,
-    policy: ThresholdPolicy | None = None,
+    policy: ThresholdPolicy,
     ood_mahal=None,
     ood_knn=None,
 ) -> OodThresholds:
     """Pick (d1, d2) from held-out in-distribution distances.
 
-    The default policy places each threshold at the (1 - alpha_fpr)
+    The fpr policy places each threshold at the (1 - alpha_fpr)
     order-statistic quantile of the in-distribution scores.  The f1 policy
     additionally needs out-of-distribution scores and exhaustively searches
     a grid of joint quantiles of the pooled scores, maximizing detection F1
     of the rule (mahal > d1 and knn > d2); ties prefer the smaller flagged
     fraction, then the larger thresholds.
     """
-    policy = policy or ThresholdPolicy()
     id_m, id_k = _validate_scores(id_mahal, id_knn, "in-distribution")
     if id_m.size < MIN_CALIBRATION_SAMPLES:
         raise DataFormatError(

@@ -39,7 +39,7 @@ from darl.harness import (
     write_budget_table,
 )
 from darl.lpft import StagePlan, run_training
-from darl.model import ModelArch, StageObjective, init_model, representations
+from darl.model import ModelArch, StageObjective, init_model, predict_scores, representations
 from darl.ood_select import (
     OodThresholds,
     ThresholdPolicy,
@@ -191,8 +191,9 @@ def test_fused_distances_match_whole_array_scoring(monkeypatch, rows):
 
 
 def test_every_representation_product_stays_under_the_thread_cutoff(monkeypatch):
-    """fit_space, the fused scorer and a head-only stage run every hidden
-    layer product with at most ``model._SOLO_PRODUCT_MACS`` multiply-adds."""
+    """fit_space, the fused scorer, a head-only stage and predict_scores run
+    every hidden layer product with at most ``model._SOLO_PRODUCT_MACS``
+    multiply-adds."""
     arch = ModelArch()
     widest = max(a * b for a, b in arch.layer_shapes()[:-1])
     hidden, blocks = model._hidden, []
@@ -210,6 +211,8 @@ def test_every_representation_product_stays_under_the_thread_cutoff(monkeypatch)
     harness._distances(backbone, stats, index, pool)
     blocks.append([])
     StageObjective(backbone, train.embeddings.data, train.grades, None, "head", batch_size=512)
+    blocks.append([])
+    predict_scores(backbone, train.embeddings.data)
     largest = [max(rows) for rows in blocks]  # one per step, each of which ran
     assert max(largest) * widest <= model._SOLO_PRODUCT_MACS, largest
 
@@ -248,7 +251,7 @@ def test_run_ablation_table_shape():
         for value in (r.f1_id, r.f1_ood, r.acc_id, r.acc_ood):
             assert 0.0 <= value <= 1.0
     _, sweep = harness.ladder_models(CONFIG, 11)
-    assert sweep.best_alpha in CONFIG.plan.alpha_grid
+    assert sweep.best.alpha in CONFIG.plan.alpha_grid
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ ORACLE_SIZES = sorted(
 )
 
 
-@pytest.mark.parametrize("trainable", ["head", "all", "backbone"])
+@pytest.mark.parametrize("trainable", ["head", "all"])
 @pytest.mark.parametrize("use_prior", [False, True], ids=["no-prior", "prior"])
 @pytest.mark.parametrize("batch_size,n", ORACLE_SIZES)
 def test_run_training_matches_the_per_batch_loop(
@@ -224,8 +224,7 @@ def test_run_training_matches_the_per_batch_loop(
 ):
     # bit for bit, including head stages whose last batch holds one row:
     # that row must not be read from representations computed for all rows.
-    # No stage trains the backbone alone; a table entry added here covers
-    # every region the objective supports.
+    # A table entry added here runs each region the objective supports.
     monkeypatch.setitem(lpft.STAGES, "oracle", ("ft", trainable))
     arch = ModelArch()
     rng = np.random.default_rng(1000 * batch_size + n)
@@ -347,8 +346,8 @@ def test_finetune_moves_backbone_and_lowers_loss():
     assert not np.array_equal(phi_ft.backbone, phi_lp.backbone)
     assert len(trace) == 20
     x = data.embeddings.data.astype(np.float64)
-    full_lp = StageObjective(phi_lp, x, data.grades, None)(backward=False).total
-    full_ft = StageObjective(phi_ft, x, data.grades, None)(backward=False).total
+    full_lp = StageObjective(phi_lp, x, data.grades, None)().total
+    full_ft = StageObjective(phi_ft, x, data.grades, None)().total
     assert full_ft <= full_lp + 1e-6
 
 
@@ -407,17 +406,21 @@ def sweep_inputs():
     return phi_lp, phi_ft, val, val_ood
 
 
+def grid(*alphas):
+    return StagePlan(alpha_grid=alphas)
+
+
 def test_alpha_sweep_covers_grid_in_order():
     phi_lp, phi_ft, val, val_ood = sweep_inputs()
-    result = alpha_sweep(phi_lp, phi_ft, (0.0, 0.25, 0.5, 0.75, 1.0), val, val_ood)
+    result = alpha_sweep(phi_lp, phi_ft, grid(0.0, 0.25, 0.5, 0.75, 1.0), val, val_ood)
     assert [row.alpha for row in result.rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert result.best_alpha in {row.alpha for row in result.rows}
-    assert result.best_row.alpha == result.best_alpha
+    assert result.best in result.rows
+    assert result.best.combined == max(row.combined for row in result.rows)
 
 
 def test_alpha_sweep_endpoints_match_direct_evaluation():
     phi_lp, phi_ft, val, val_ood = sweep_inputs()
-    result = alpha_sweep(phi_lp, phi_ft, (0.0, 1.0), val, val_ood)
+    result = alpha_sweep(phi_lp, phi_ft, grid(0.0, 1.0), val, val_ood)
     for row, params in zip(result.rows, (phi_lp, phi_ft)):
         scores = predict_scores(params, val.embeddings.data.astype(np.float64))
         thr = fit_grade_thresholds(scores, val.grades)
@@ -432,26 +435,24 @@ def test_alpha_sweep_endpoints_match_direct_evaluation():
 
 def test_alpha_sweep_single_point_grid():
     phi_lp, phi_ft, val, val_ood = sweep_inputs()
-    result = alpha_sweep(phi_lp, phi_ft, (0.6,), val, val_ood)
-    assert result.best_alpha == 0.6
+    result = alpha_sweep(phi_lp, phi_ft, grid(0.6), val, val_ood)
+    assert result.best.alpha == 0.6
     assert len(result.rows) == 1
 
 
 def test_alpha_sweep_ties_prefer_smaller_alpha():
     phi_lp, _, val, val_ood = sweep_inputs()
-    result = alpha_sweep(phi_lp, phi_lp, (0.0, 0.5, 1.0), val, val_ood)
+    result = alpha_sweep(phi_lp, phi_lp, grid(0.0, 0.5, 1.0), val, val_ood)
     combined = [row.combined for row in result.rows]
     assert combined[0] == combined[1] == combined[2]
-    assert result.best_alpha == 0.0
+    assert result.best is result.rows[0]
 
 
 def test_alpha_sweep_validation():
     phi_lp, phi_ft, val, val_ood = sweep_inputs()
-    with pytest.raises(ConfigError):
-        alpha_sweep(phi_lp, phi_ft, (), val, val_ood)
     empty = val.take([])
     with pytest.raises(DataFormatError):
-        alpha_sweep(phi_lp, phi_ft, (0.5,), empty, val_ood)
+        alpha_sweep(phi_lp, phi_ft, grid(0.5), empty, val_ood)
 
 
 def test_combined_score_is_mean_of_f1s():
@@ -464,7 +465,7 @@ def test_write_alpha_table_format(tmp_path):
         AlphaRow(alpha=0.0, **graded(0.81234, 0.61111, 0.9, 0.7)),
         AlphaRow(alpha=0.5, **graded(0.85, 0.66, 0.92, 0.72)),
     )
-    result = AlphaSweepResult(rows=rows, best_alpha=0.5)
+    result = AlphaSweepResult(rows=rows, best=rows[1])
     path = tmp_path / "sweep.tsv"
     write_alpha_table(result, path, meta="best 0.5")
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -220,17 +220,16 @@ def test_metrics_hand_confusion():
     scores, grades, thr = hand_confusion_case()
     m = compute_metrics(scores, grades, thr)
     assert m.n == 22
-    sr = m.per_grade[RelevanceGrade.SR]
-    assert sr.precision == pytest.approx(0.8)
-    assert sr.recall == pytest.approx(0.8)
-    assert sr.f1 == pytest.approx(0.8)
-    assert sr.support == 10
-    ir = m.per_grade[RelevanceGrade.IR]
-    assert ir.precision == pytest.approx(5.0 / 7.0)
-    assert ir.recall == pytest.approx(1.0)
-    wr = m.per_grade[RelevanceGrade.WR]
-    assert wr.precision == pytest.approx(1.0)
-    assert wr.recall == pytest.approx(5.0 / 7.0)
+    # each F1 is 2PR / (P + R) from precision P and recall R, bit for bit
+    def f1(precision, recall):
+        return 2.0 * precision * recall / (precision + recall)
+
+    assert m.per_grade == {
+        RelevanceGrade.IR: f1(5 / 7, 5 / 5),
+        RelevanceGrade.WR: f1(5 / 5, 5 / 7),
+        RelevanceGrade.SR: f1(8 / 10, 8 / 10),
+    }
+    assert m.per_grade[RelevanceGrade.SR] == pytest.approx(0.8)
     assert m.accuracy == pytest.approx(18.0 / 22.0)
     assert m.macro_f1 == pytest.approx((5.0 / 6.0 + 5.0 / 6.0 + 0.8) / 3.0)
 
@@ -238,7 +237,7 @@ def test_metrics_hand_confusion():
 def test_macro_f1_is_mean_of_per_grade_f1():
     scores, grades, thr = hand_confusion_case()
     m = compute_metrics(scores, grades, thr)
-    per = [m.per_grade[g].f1 for g in RelevanceGrade]
+    per = [m.per_grade[g] for g in RelevanceGrade]
     assert m.macro_f1 == pytest.approx(np.mean(per))
 
 
@@ -264,8 +263,7 @@ def test_absent_grade_scores_zero_f1():
     scores = np.array([0.1, 0.9] * 10)
     grades = np.array([IR, SR] * 10)
     m = compute_metrics(scores, grades, GradeThresholds(0.3, 0.7))
-    assert m.per_grade[RelevanceGrade.WR].f1 == 0.0
-    assert m.per_grade[RelevanceGrade.WR].support == 0
+    assert m.per_grade[RelevanceGrade.WR] == 0.0
     assert m.macro_f1 == pytest.approx(2.0 / 3.0)
 
 

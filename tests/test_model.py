@@ -80,13 +80,13 @@ def test_fingerprint_tracks_shape():
 
 
 def test_trainable_slices_partition_the_vector():
+    # the head is the tail of the vector; the hidden layers alone never train
     head = trainable_slice(SMALL, "head")
-    backbone = trainable_slice(SMALL, "backbone")
-    assert backbone == slice(0, SMALL.backbone_count)
     assert head == slice(SMALL.backbone_count, SMALL.param_count)
     assert trainable_slice(SMALL, "all") == slice(0, SMALL.param_count)
-    with pytest.raises(ConfigError):
-        trainable_slice(SMALL, "frozen")
+    for region in ("frozen", "backbone"):
+        with pytest.raises(ConfigError):
+            trainable_slice(SMALL, region)
 
 
 def test_params_validation():
@@ -169,15 +169,17 @@ def test_representations_have_last_hidden_width():
 
 @pytest.mark.parametrize("n", [1, 2, 4097, 8193, 160_001, 200_000])
 def test_representations_match_one_unblocked_pass_bitwise(monkeypatch, n):
-    # representations runs in fixed row blocks; no block size may change a row
+    # representations runs in fixed row blocks; no block size may change a
+    # row, nor the logits forward_batch computes from them
     params = init_model(ModelArch(), seed=n)
     x = np.random.default_rng(n).standard_normal((n, 32)).astype(np.float32)
-    reps = representations(params, x)
+    reps, logits = representations(params, x), forward_batch(params, x)
     assert reps.dtype == np.float64
     # a cutoff that fits every row in one block
     widest = max(a * b for a, b in params.arch.layer_shapes()[:-1])
     monkeypatch.setattr(model, "_SOLO_PRODUCT_MACS", n * widest)
     assert reps.tobytes() == representations(params, x).tobytes()
+    assert logits.tobytes() == forward_batch(params, x).tobytes()
 
 
 def test_forward_rejects_bad_inputs():
@@ -216,7 +218,7 @@ def test_ce_matches_hand_formula():
     grades = np.array([2, 0])  # SR -> target 1, IR -> target 0
     y = np.array([1.0, 0.0])
     want = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
-    got = StageObjective(params, x, grades, None)(backward=False)
+    got = StageObjective(params, x, grades, None)()
     assert got.ce == pytest.approx(want, rel=1e-14)
     assert got.kl == 0.0
     assert got.total == got.ce
@@ -286,7 +288,7 @@ def finite_difference(params, x, grades, prior, h=1e-5):
     def at(i, delta):
         bumped = base.copy()
         bumped[i] += delta
-        return StageObjective(params.replace_values(bumped), x, grades, prior)(backward=False).total
+        return StageObjective(params.replace_values(bumped), x, grades, prior)().total
 
     for i in range(base.size):
         grad[i] = (at(i, h) - at(i, -h)) / (2.0 * h)
@@ -309,14 +311,10 @@ def test_gradient_matches_finite_differences(use_prior):
 def test_head_only_gradient_masks_backbone():
     params = init_model(SMALL, seed=12)
     x, grades = small_batch(8, seed=13)
-    full, head, backbone = (
-        gradient(params, x, grades, None, trainable) for trainable in ("all", "head", "backbone")
-    )
+    full, head = (gradient(params, x, grades, None, trainable) for trainable in ("all", "head"))
     cut = SMALL.backbone_count
     assert np.all(head[:cut] == 0.0)
-    assert np.all(backbone[cut:] == 0.0)
     np.testing.assert_array_equal(head[cut:], full[cut:])
-    np.testing.assert_array_equal(backbone[:cut], full[:cut])
 
 
 def test_kl_gradient_vanishes_at_the_prior():
@@ -332,13 +330,15 @@ def test_kl_gradient_vanishes_at_the_prior():
 
 @pytest.mark.parametrize("use_prior", [False, True])
 def test_loss_equals_loss_and_grad_loss(use_prior):
-    # a forward-only call returns exactly the loss of a call that also
-    # writes the gradient
+    # a head stage's loss from its cached representations is exactly the loss
+    # of a stage that runs the hidden layers per call, and writing the
+    # gradient leaves a repeated call's loss unchanged
     prior = CalibrationPrior(rho=0.1) if use_prior else None
     params = init_model(SMALL, seed=27)
     x, grades = small_batch(9, seed=28)
     objective = StageObjective(params, x, grades, prior)
-    assert objective(backward=False) == objective()
+    first = objective()
+    assert StageObjective(params, x, grades, prior, "head")() == first == objective()
 
 
 def test_gradient_descent_decreases_loss():

@@ -38,29 +38,36 @@ from darl.util import BLOCK_ROWS
 # gaussian fitting
 
 
+def ridged_covariance(data):
+    """np.cov plus the documented ridge, 1e-4 * trace / dims on the diagonal."""
+    cov = np.cov(data, rowvar=False)
+    return cov + DEFAULT_RIDGE_SCALE * np.trace(cov) / len(cov) * np.eye(len(cov))
+
+
+def factored(stats):
+    return stats.chol_lower @ stats.chol_lower.T
+
+
 def test_fit_gaussian_hand_values():
     corners = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-    stats = fit_gaussian(corners, ridge=0.0)
+    stats = fit_gaussian(corners)
     np.testing.assert_allclose(stats.mean, [1.0, 1.0])
-    np.testing.assert_allclose(stats.covariance, (4.0 / 3.0) * np.eye(2))
-    assert stats.ridge == 0.0
+    np.testing.assert_allclose(factored(stats), (4.0 / 3.0) * (1.0 + 1e-4) * np.eye(2))
+    np.testing.assert_array_equal(np.triu(stats.chol_lower, 1), 0.0)
 
 
 def test_fit_gaussian_default_ridge_formula():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((200, 3)) * [1.0, 2.0, 3.0]
     stats = fit_gaussian(data)
-    expected = DEFAULT_RIDGE_SCALE * np.trace(stats.covariance) / 3
-    assert stats.ridge == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(factored(stats), ridged_covariance(data), rtol=1e-12)
 
 
 def test_fit_gaussian_degenerate_needs_ridge():
+    # repeated rows have zero trace, so the ridge is zero too
     repeated = np.tile([1.0, 2.0], (10, 1))
-    stats = fit_gaussian(repeated, ridge=1e-3)
-    np.testing.assert_allclose(stats.covariance, 0.0)
-    assert mahalanobis_batch(stats, [1.0, 2.0])[0] == 0.0
     with pytest.raises(SingularCovarianceError, match="ridge"):
-        fit_gaussian(repeated, ridge=0.0)
+        fit_gaussian(repeated)
 
 
 def test_fit_gaussian_input_validation():
@@ -68,22 +75,22 @@ def test_fit_gaussian_input_validation():
         fit_gaussian(np.zeros((0, 3)))
     with pytest.raises(NonFiniteValueError):
         fit_gaussian(np.array([[1.0, np.nan]]))
-    with pytest.raises(ConfigError):
-        fit_gaussian(np.eye(3), ridge=-1.0)
 
 
 def test_fit_gaussian_single_row():
-    stats = fit_gaussian(np.array([[3.0, 4.0]]), ridge=1.0)
-    np.testing.assert_allclose(stats.covariance, 0.0)
+    with pytest.raises(SingularCovarianceError):
+        fit_gaussian(np.array([[3.0, 4.0]]))
+    stats = GaussianStats(mean=np.array([3.0, 4.0]), chol_lower=np.eye(2))
     assert mahalanobis_batch(stats, [3.0, 5.0])[0] == pytest.approx(1.0)
 
 
 def test_reference_sets_take_a_1d_array_as_one_row():
     row = np.array([3.0, 4.0])
-    one = fit_gaussian(row, ridge=1.0)
-    two_d = fit_gaussian(row[None, :], ridge=1.0)
-    for field in ("mean", "covariance", "chol_lower"):
-        np.testing.assert_array_equal(getattr(one, field), getattr(two_d, field))
+    # as one row of two dims it has no spread; as a column of two rows it would
+    for reps in (row, row[None, :]):
+        with pytest.raises(SingularCovarianceError):
+            fit_gaussian(reps)
+    np.testing.assert_allclose(factored(fit_gaussian(row[:, None])), [[0.5 * 1.0001]])
     index = build_index(row)
     assert (index.rows, index.dims) == (1, 2)
     np.testing.assert_allclose(index.unit[: index.rows], [[0.6, 0.8]])
@@ -94,12 +101,12 @@ def test_reference_sets_take_a_1d_array_as_one_row():
 
 
 def unit_stats(dims):
-    return GaussianStats(
-        mean=np.zeros(dims),
-        covariance=np.eye(dims),
-        ridge=0.0,
-        chol_lower=np.eye(dims),
-    )
+    return GaussianStats(mean=np.zeros(dims), chol_lower=np.eye(dims))
+
+
+def exact_stats(data):
+    """Unridged fit: the sample mean and the Cholesky factor of np.cov."""
+    return GaussianStats(data.mean(axis=0), np.linalg.cholesky(np.cov(data, rowvar=False)))
 
 
 def test_mahalanobis_identity_covariance_is_euclidean():
@@ -108,12 +115,8 @@ def test_mahalanobis_identity_covariance_is_euclidean():
 
 
 def test_mahalanobis_diagonal_covariance():
-    stats = GaussianStats(
-        mean=np.zeros(2),
-        covariance=np.diag([4.0, 1.0]),
-        ridge=0.0,
-        chol_lower=np.diag([2.0, 1.0]),
-    )
+    # covariance diag(4, 1)
+    stats = GaussianStats(mean=np.zeros(2), chol_lower=np.diag([2.0, 1.0]))
     # [2, 1] is one standard deviation out on each axis
     assert mahalanobis_batch(stats, [2.0, 1.0])[0] == pytest.approx(np.sqrt(2.0))
 
@@ -123,7 +126,7 @@ def test_mahalanobis_batch_matches_explicit_inverse():
     data = rng.standard_normal((300, 4)) @ rng.standard_normal((4, 4))
     stats = fit_gaussian(data)
     queries = rng.standard_normal((40, 4))
-    inv = np.linalg.inv(stats.covariance + stats.ridge * np.eye(4))
+    inv = np.linalg.inv(stats.chol_lower @ stats.chol_lower.T)
     diff = queries - stats.mean
     want = np.sqrt(np.einsum("ij,jk,ik->i", diff, inv, diff))
     np.testing.assert_allclose(mahalanobis_batch(stats, queries), want, rtol=1e-8)
@@ -134,10 +137,8 @@ def test_mahalanobis_is_affine_invariant():
     data = rng.standard_normal((120, 3))
     queries = rng.standard_normal((15, 3))
     transform = np.array([[2.0, 0.3, 0.0], [0.0, 1.5, -0.4], [0.1, 0.0, 1.0]])
-    base = mahalanobis_batch(fit_gaussian(data, ridge=0.0), queries)
-    moved = mahalanobis_batch(
-        fit_gaussian(data @ transform.T, ridge=0.0), queries @ transform.T
-    )
+    base = mahalanobis_batch(exact_stats(data), queries)
+    moved = mahalanobis_batch(exact_stats(data @ transform.T), queries @ transform.T)
     np.testing.assert_allclose(moved, base, rtol=1e-6)
 
 
@@ -151,9 +152,7 @@ def test_mahalanobis_query_validation():
 
 def test_mahalanobis_overflow_raises_non_finite_value_error():
     query = np.array([[1e308, 0.0]])
-    stats = GaussianStats(
-        mean=np.array([-1e308, 0.0]), covariance=np.eye(2), ridge=0.0, chol_lower=np.eye(2)
-    )
+    stats = GaussianStats(mean=np.array([-1e308, 0.0]), chol_lower=np.eye(2))
     # the square of a finite row overflows; the centred row itself overflows
     for fitted in (unit_stats(2), stats):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError, match="Mahalanobis"):
@@ -536,16 +535,16 @@ def test_calibrate_fpr_alpha_zero_flags_nothing():
 def test_calibrate_needs_enough_samples():
     short = np.ones(MIN_CALIBRATION_SAMPLES - 1)
     with pytest.raises(DataFormatError, match="50"):
-        calibrate_thresholds(short, short * 0.5)
+        calibrate_thresholds(short, short * 0.5, ThresholdPolicy())
 
 
 def test_calibrate_rejects_mismatched_scores():
     with pytest.raises(DimensionMismatchError):
-        calibrate_thresholds(np.ones(60), np.ones(59))
+        calibrate_thresholds(np.ones(60), np.ones(59), ThresholdPolicy())
     bad = np.ones(60)
     bad[3] = np.nan
     with pytest.raises(NonFiniteValueError):
-        calibrate_thresholds(bad, np.ones(60))
+        calibrate_thresholds(bad, np.ones(60), ThresholdPolicy())
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.5))

@@ -82,6 +82,59 @@ def test_public_api_has_a_non_test_caller():
     assert unused == [], "public API that only tests reach"
 
 
+# fields that only tests read, each with the reason it stays
+FIELDS_READ_BY_TESTS = {
+    "PreparedCorpus.thresholds": "tests/test_golden.py pins the CLI's thresholds.json to it",
+}
+
+
+def _dataclass_fields(trees):
+    """{class name: (base names, {field name: annotation names})} per dataclass."""
+    found = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+            ):
+                found[node.name] = (
+                    {ast.unparse(base) for base in node.bases},
+                    {
+                        item.target.id: {n.id for n in ast.walk(item.annotation)
+                                         if isinstance(n, ast.Name)}
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    },
+                )
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    # a field that src/ builds but never reads is dead weight, like an
+    # uncalled function.  The config.json schema (the dataclasses reachable
+    # from RunConfig) is exempt: lpft reads StagePlan's budgets through
+    # getattr with a built name
+    trees = [_tree(path) for path in SOURCES]
+    classes = _dataclass_fields(trees)
+    schema, todo = set(), ["RunConfig"]
+    while todo:
+        name = todo.pop()
+        if name in classes and name not in schema:
+            schema.add(name)
+            bases, fields = classes[name]
+            todo += [*bases, *(n for names in fields.values() for n in names)]
+    reads = {
+        n.attr for t in trees for n in ast.walk(t)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{name}.{field}"
+        for name, (_, fields) in classes.items() if name not in schema
+        for field in fields
+        if field not in reads and f"{name}.{field}" not in FIELDS_READ_BY_TESTS
+    )
+    assert unread == [], "dataclass fields that src/ never reads"
+
+
 def test_cli_writes_only_through_the_run():
     # every run-directory write goes through _Run.save (a .tmp file renamed
     # into place), so an interrupted stage cannot leave a half-written artifact
