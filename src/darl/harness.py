@@ -173,7 +173,8 @@ def _distances(backbone, stats, index, data: LabeledDataset):
     libraries per block set the two thread pools against each other on the
     same cores and ran about 1.5x slower.  So scipy solves every Mahalanobis
     block while numpy's pool sleeps, and then numpy runs every kNN block.
-    Each row's distances do not depend on the blocks.
+    Each row's distances do not depend on the blocks, at any index size
+    (lone rows are doubled; ``ood_select.SMALL_PRODUCT_ENTRIES``).
     """
     if stats.dims != index.dims:
         raise DimensionMismatchError(

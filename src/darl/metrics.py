@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RelevanceGrade
-from .errors import ConfigError, DataFormatError, DimensionMismatchError
+from .errors import ConfigError, DataFormatError, DimensionMismatchError, NonFiniteValueError
 from .util import order_stat_quantile
 
 GRID_PERCENTILES = tuple(range(1, 100))
@@ -44,13 +44,6 @@ class GradeThresholds:
                 f"({self.t_wr}, {self.t_sr})"
             )
 
-    def predict(self, scores: np.ndarray) -> np.ndarray:
-        s = np.asarray(scores, dtype=np.float64)
-        grades = np.full(s.shape, RelevanceGrade.WR.value, dtype=np.int8)
-        grades[s < self.t_wr] = RelevanceGrade.IR.value
-        grades[s >= self.t_sr] = RelevanceGrade.SR.value
-        return grades
-
 
 def _check_pair(scores, grades) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64).ravel()
@@ -61,6 +54,8 @@ def _check_pair(scores, grades) -> tuple[np.ndarray, np.ndarray]:
         )
     if s.size == 0:
         raise DataFormatError("empty score array")
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteValueError("non-finite score")
     if g.size and (g.min() < 0 or g.max() > 2):
         raise DataFormatError("grade outside the three-grade range")
     return s, g.astype(np.int8)
@@ -72,9 +67,9 @@ def fit_grade_thresholds(val_scores, val_grades) -> GradeThresholds:
     Candidates are the distinct 1..99 percentile order statistics of the
     validation scores that lie strictly inside (0, 1).  Every pair
     t_wr < t_sr is scored at once; the best macro F1 wins, ties go to the
-    wider middle band, then to the smaller t_wr.  Identical scores, or fewer
-    than two candidates, carry no signal and fall back to (1/3, 2/3) with a
-    warning.
+    wider middle band, then to the smaller t_wr.  Fewer than two candidates
+    (identical scores give at most one) carry no signal and fall back to
+    (1/3, 2/3) with a warning.
     """
     scores, grades = _check_pair(val_scores, val_grades)
     true_counts = np.bincount(grades, minlength=3)
@@ -83,18 +78,11 @@ def fit_grade_thresholds(val_scores, val_grades) -> GradeThresholds:
         raise DataFormatError(
             f"threshold fitting needs all three grades; missing {missing}"
         )
-    if float(scores.max() - scores.min()) == 0.0:
-        warnings.warn(
-            "all validation scores identical; using default grade thresholds",
-            stacklevel=2,
-        )
-        return GradeThresholds(*DEGENERATE_THRESHOLDS)
-
     cand = np.unique(order_stat_quantile(scores, np.asarray(GRID_PERCENTILES) / 100.0))
     cand = cand[(cand > 0.0) & (cand < 1.0)]
     if cand.size < 2:
         warnings.warn(
-            "score spread too small for a threshold grid; using defaults",
+            "score spread too small for a threshold grid, e.g. identical scores; using defaults",
             stacklevel=2,
         )
         return GradeThresholds(*DEGENERATE_THRESHOLDS)
@@ -127,27 +115,22 @@ class Metrics:
 
 
 def compute_metrics(scores, grades, thresholds: GradeThresholds) -> Metrics:
-    """Threshold the scores and compare predicted grades to the labels."""
+    """Threshold the scores and compare predicted grades to the labels, from
+    one count of the rows per (predicted, true) grade."""
     s, g = _check_pair(scores, grades)
-    pred = thresholds.predict(s)
-    acc = float(np.mean(pred == g))
-    per_grade: dict[RelevanceGrade, float] = {}
-    for grade in RelevanceGrade:
-        v = grade.value
-        tp = int(np.count_nonzero((pred == v) & (g == v)))
-        n_pred = int(np.count_nonzero(pred == v))
-        n_true = int(np.count_nonzero(g == v))
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_true if n_true else 0.0
-        per_grade[grade] = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
+    pred = np.searchsorted([thresholds.t_wr, thresholds.t_sr], s, side="right")
+    counts = np.bincount(3 * pred + g, minlength=9).reshape(3, 3)
+    tp = np.diagonal(counts)
+    n_pred, n_true = counts.sum(axis=1), counts.sum(axis=0)
+    precision = np.divide(tp, n_pred, out=np.zeros(3), where=n_pred > 0)
+    recall = np.divide(tp, n_true, out=np.zeros(3), where=n_true > 0)
+    # 2PR / (P + R): 2tp / (n_pred + n_true) is the same F1 but rounds differently
+    f1 = np.divide(2.0 * precision * recall, precision + recall, out=np.zeros(3),
+                   where=precision + recall > 0)
     return Metrics(
-        macro_f1=float(np.mean(list(per_grade.values()))),
-        accuracy=acc,
-        per_grade=per_grade,
+        macro_f1=float(f1.mean()),
+        accuracy=float(tp.sum() / s.size),
+        per_grade={grade: float(f1[grade.value]) for grade in RelevanceGrade},
         n=int(s.size),
     )
 

@@ -184,30 +184,34 @@ def representations(params: ModelParams, x: np.ndarray) -> np.ndarray:
     Only the hidden layers run, in ``util.row_blocks`` small enough that
     every product stays under ``_SOLO_PRODUCT_MACS`` (256 rows at the
     default arch): larger products wake BLAS worker threads, whose spinning
-    slows the small products that follow.  Each row matches a single
-    unblocked pass bit for bit.
+    slows the small products that follow.  A one-row call runs its row
+    doubled, so at the default arch a row gets the same bits in any call; a
+    narrow layer (hidden (10, 6) on 32 inputs) can still round by block size.
     """
     arch = params.arch
     rows = finite_rows(x, arch.input_dims, "model input", widen=False)
     n = rows.shape[0]
+    if n == 1:  # BLAS's one-row kernel rounds differently
+        rows = np.repeat(rows, 2, axis=0)
     widest = max(fan_in * fan_out for fan_in, fan_out in arch.layer_shapes()[:-1])
     block = max(2, _SOLO_PRODUCT_MACS // widest)
     views = _layer_views(arch, params.values)
-    reps = np.empty((n, arch.rep_dims))
-    outs = [np.empty((min(n, block), w)) for w in arch.hidden[:-1]]
-    for part in row_blocks(n, block):
+    reps = np.empty((len(rows), arch.rep_dims))
+    outs = [np.empty((min(len(rows), block), w)) for w in arch.hidden[:-1]]
+    for part in row_blocks(len(rows), block):
         _hidden(views, np.asarray(rows[part], dtype=np.float64), [*outs, reps[part]])
-    return reps
+    return reps[:n]
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Relevance logits: the head over ``representations``, in one product,
-    since the head's product rounds differently per row count."""
+    which rounds a row by its position in the call (exact per call only)."""
     head_w, head_b = _layer_views(params.arch, params.values)[-1]
     return (representations(params, x) @ head_w + head_b)[:, 0]
 
 
 def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Sigmoid of ``forward_batch``: exact per call only, like the logits."""
     return _sigmoid(forward_batch(params, x))
 
 

@@ -31,6 +31,9 @@ KNN_CHUNK = 192  # query rows per kNN similarity block
 # bytes of the kNN float32 index copy, float32 screen and float64 similarities
 KNN_BUFFER_BYTES = 15_360_000
 KNN_TILE = 1024  # most index rows per float64 tile behind the float32 screen
+# most output entries of a float64 product that OpenBLAS 0.3.31's Haswell
+# build sends, at >= 32 dims, to a small-matrix kernel that rounds differently
+SMALL_PRODUCT_ENTRIES = 1_200
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,9 @@ def fit_gaussian(reps) -> GaussianStats:
 def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
     """Mahalanobis distance of each row to the fitted Gaussian."""
     arr = finite_rows(x, stats.dims, "query")
+    n = arr.shape[0]
+    if n == 1:  # BLAS's one-row kernel rounds differently
+        arr = np.repeat(arr, 2, axis=0)
     # scipy.linalg takes about 0.3 s to import and only this call needs it,
     # so a process that scores no Mahalanobis distance never loads it
     from scipy.linalg import solve_triangular
@@ -95,7 +101,7 @@ def mahalanobis_batch(stats: GaussianStats, x: np.ndarray) -> np.ndarray:
     # finite rows can still overflow while centring, solving or squaring
     if not np.all(np.isfinite(distances)):
         raise NonFiniteValueError("non-finite Mahalanobis distance (a query overflows)")
-    return distances
+    return distances[:n]
 
 
 @dataclass(frozen=True)
@@ -177,13 +183,14 @@ def _screen(index: NeighborIndex, queries: np.ndarray, width: int, group: int, b
 
 def _raise_best(best, arr, rows, tile: np.ndarray, buffer) -> None:
     """Raise ``best`` at ``rows`` to their float64 maxima over the ``tile``
-    rows, in near-equal pieces of at most ``KNN_CHUNK`` rows; a lone row is
-    doubled, as BLAS's one-row kernel rounds differently.  A row's norm does
-    not depend on the rows gathered with it."""
+    rows, in near-equal pieces of at most ``KNN_CHUNK`` rows, each repeated
+    up to >= 2 rows and > ``SMALL_PRODUCT_ENTRIES`` entries (at most that +
+    the tile's rows).  A row's norm does not depend on the rows gathered with it."""
     count = -(-rows.size // KNN_CHUNK)
+    floor = max(2, SMALL_PRODUCT_ENTRIES // len(tile) + 1)
     for piece in range(count):
         pick = rows[piece * rows.size // count : (piece + 1) * rows.size // count]
-        pick = np.resize(pick, max(2, pick.size))
+        pick = np.resize(pick, max(floor, pick.size))
         queries = arr[pick]
         queries /= np.linalg.norm(queries, axis=1)[:, None]
         sims = buffer[: pick.size * len(tile)].reshape(pick.size, len(tile))
@@ -210,9 +217,9 @@ def knn_distance_batch(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
     dot64_j - e >= m - 2e, and 2e ~ (d + 2) eps32 is half the slack (the
     float32 subtraction costs an ulp), so k's tile is a candidate.  Every
     float64 entry equals that of one whole-index product, so a distance is
-    bit-identical whatever the chunk, budget and tiles, on products OpenBLAS
-    runs through its general kernel (0.3.31's Haswell build sends those of
-    <= 1,200 entries at >= 32 dims to a small-matrix kernel).
+    bit-identical whatever the chunk, budget, tiles and index size, as long
+    as OpenBLAS runs products of >= 2 rows and > ``SMALL_PRODUCT_ENTRIES``
+    entries (``_raise_best``'s floor) through its general kernel.
     """
     arr = finite_rows(x, index.dims, "query")
     n = arr.shape[0]
@@ -227,7 +234,7 @@ def knn_distance_batch(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
             raise DataFormatError(f"zero-norm query row {part.start + int(bad[0])}")
         near[:, part] = _screen(index, arr[part] / norms[:, None], width, group, screen)
     best = np.full(n, -np.inf)
-    exact = np.empty(max(chunk, 2) * width, dtype=np.float64)
+    exact = np.empty(max(max(chunk, 2) * width, SMALL_PRODUCT_ENTRIES + width))
     for start in range(0, len(index.unit), width):
         rows = np.flatnonzero(near[start // width])
         _raise_best(best, arr, rows, index.unit[start : start + width], exact)
@@ -340,38 +347,27 @@ def calibrate_thresholds(
             policy="fpr",
             alpha_fpr=policy.alpha_fpr,
         )
-    if ood_mahal is None or ood_knn is None:
+    if ood_mahal is None or ood_knn is None or np.size(ood_mahal) == 0:
         raise ConfigError(
             "policy", "f1 calibration needs labeled out-of-distribution scores"
         )
     ood_m, ood_k = _validate_scores(ood_mahal, ood_knn, "out-of-distribution")
-    if ood_m.size == 0:
-        raise ConfigError(
-            "policy", "f1 calibration needs labeled out-of-distribution scores"
-        )
     pool_m = np.concatenate([id_m, ood_m])
     pool_k = np.concatenate([id_k, ood_k])
-    labels = np.concatenate(
-        [np.zeros(id_m.size, dtype=bool), np.ones(ood_m.size, dtype=bool)]
-    )
     g = policy.grid_points
     levels = [(i + 1) / g for i in range(g)]
     cand_m = order_stat_quantile(pool_m, levels)
     cand_k = order_stat_quantile(pool_k, levels)
-    best = None
-    n_pos = int(labels.sum())
-    for d1 in cand_m:
-        flag_m = pool_m > d1
-        for d2 in cand_k:
-            flagged = flag_m & (pool_k > d2)
-            tp = int(np.count_nonzero(flagged & labels))
-            n_flag = int(np.count_nonzero(flagged))
-            denom = n_flag + n_pos
-            f1 = 2.0 * tp / denom if denom else 0.0
-            key = (f1, -n_flag, d1, d2)
-            if best is None or key > best[0]:
-                best = (key, d1, d2)
-    _, d1, d2 = best
+    # (candidate, row) indicators in int64, whose products numpy runs
+    # itself, off BLAS and its threads; [i, j] counts rows over (d1_i, d2_j)
+    over_m = (pool_m > cand_m[:, None]).astype(np.int64)
+    over_k = (pool_k > cand_k[:, None]).astype(np.int64)
+    flagged = over_m @ over_k.T
+    tp = over_m[:, id_m.size :] @ over_k[:, id_m.size :].T
+    f1 = 2.0 * tp / (flagged + ood_m.size)
+    # the maximum of the key (f1, -flagged, d1, d2)
+    best = np.lexsort((np.tile(cand_k, g), np.repeat(cand_m, g), -flagged.ravel(), f1.ravel()))[-1]
+    d1, d2 = cand_m[best // g], cand_k[best % g]
     return OodThresholds(
         d1=float(d1), d2=float(min(2.0, d2)), policy="f1", alpha_fpr=None
     )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from darl import metrics
 from darl.dataset import RelevanceGrade
-from darl.errors import ConfigError, DataFormatError
+from darl.errors import ConfigError, DataFormatError, NonFiniteValueError
 from darl.metrics import (
     DEGENERATE_THRESHOLDS,
     GRID_PERCENTILES,
@@ -36,11 +36,20 @@ def test_threshold_validation():
             GradeThresholds(*pair)
 
 
-def test_predict_band_edges():
+def graded(scores, thr):
+    """Each score's predicted grade: the one label ``compute_metrics`` counts
+    as correct for it alone."""
+    return [
+        next(v for v in (IR, WR, SR) if compute_metrics([s], [v], thr).accuracy == 1.0)
+        for s in scores
+    ]
+
+
+def test_metrics_band_edges():
+    # a score equal to t_wr is WR, and one equal to t_sr is SR
     thr = GradeThresholds(0.4, 0.7)
     scores = np.array([0.0, 0.39, 0.4, 0.5, 0.69, 0.7, 1.0])
-    want = [IR, IR, WR, WR, WR, SR, SR]
-    np.testing.assert_array_equal(thr.predict(scores), want)
+    assert graded(scores, thr) == [IR, IR, WR, WR, WR, SR, SR]
 
 
 def test_fit_on_cleanly_banded_scores_is_perfect():
@@ -101,10 +110,9 @@ def test_fit_is_invariant_to_increasing_affine_maps(seed, scale, shift):
     scores = rng.integers(20, 81, size=60) / 100.0
     grades = rng.integers(0, 3, size=60).astype(np.int8)
     grades[:3] = [IR, WR, SR]
-    base = fit_grade_thresholds(scores, grades).predict(scores)
+    base = graded(scores, fit_grade_thresholds(scores, grades))
     moved_scores = scale * scores + shift
-    moved = fit_grade_thresholds(moved_scores, grades).predict(moved_scores)
-    np.testing.assert_array_equal(base, moved)
+    assert graded(moved_scores, fit_grade_thresholds(moved_scores, grades)) == base
 
 
 def _grid(scores):
@@ -232,6 +240,42 @@ def test_metrics_hand_confusion():
     assert m.per_grade[RelevanceGrade.SR] == pytest.approx(0.8)
     assert m.accuracy == pytest.approx(18.0 / 22.0)
     assert m.macro_f1 == pytest.approx((5.0 / 6.0 + 5.0 / 6.0 + 0.8) / 3.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_are_rejected(bad):
+    # searchsorted would put a NaN past both thresholds, as SR
+    scores, grades, thr = hand_confusion_case()
+    scores[7] = bad
+    with pytest.raises(NonFiniteValueError):
+        fit_grade_thresholds(scores, grades)
+    with pytest.raises(NonFiniteValueError):
+        compute_metrics(scores, grades, thr)
+
+
+def per_grade_loop(scores, grades, thr):
+    """Reference: each grade's masks counted on their own, F1 from 2PR / (P + R)."""
+    pred = np.where(scores < thr.t_wr, IR, np.where(scores >= thr.t_sr, SR, WR))
+    f1 = []
+    for v in (IR, WR, SR):
+        tp = np.count_nonzero((pred == v) & (grades == v))
+        n_pred, n_true = np.count_nonzero(pred == v), np.count_nonzero(grades == v)
+        p, r = (tp / n_pred if n_pred else 0.0), (tp / n_true if n_true else 0.0)
+        f1.append(2.0 * p * r / (p + r) if p + r > 0 else 0.0)
+    return float(np.mean(f1)), float(np.mean(pred == grades)), f1
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 500), st.integers(1, 3))
+def test_metrics_match_the_per_grade_loop(seed, n, decimals):
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.random(n), decimals)
+    grades = rng.integers(0, 3, size=n)
+    # on the 2-decimal grid, so scores land on the thresholds too
+    thr = GradeThresholds(*sorted(rng.choice(np.arange(1, 100) / 100.0, 2, replace=False)))
+    m = compute_metrics(scores, grades, thr)
+    assert (m.macro_f1, m.accuracy, list(m.per_grade.values())) == per_grade_loop(
+        scores, grades, thr
+    )
 
 
 def test_macro_f1_is_mean_of_per_grade_f1():

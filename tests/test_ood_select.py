@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import traced_peak
@@ -32,7 +32,8 @@ from darl.ood_select import (
     select_ood,
     write_score_report,
 )
-from darl.util import BLOCK_ROWS
+from darl.model import ModelArch, init_model, representations
+from darl.util import BLOCK_ROWS, order_stat_quantile
 
 # ---------------------------------------------------------------------------
 # gaussian fitting
@@ -160,12 +161,14 @@ def test_mahalanobis_overflow_raises_non_finite_value_error():
 
 
 def three_array_mahalanobis(stats, x):
-    """Reference: the centred block, its solved copy and their square."""
+    """Reference: the centred block, its solved copy and their square; a
+    lone row is solved doubled, as BLAS's one-row kernel rounds differently."""
     from scipy.linalg import solve_triangular
 
-    diff = (np.atleast_2d(np.asarray(x, dtype=np.float64)) - stats.mean).T
-    solved = solve_triangular(stats.chol_lower, diff, lower=True)
-    return np.sqrt(np.sum(solved * solved, axis=0))
+    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    diff = (np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows) - stats.mean
+    solved = solve_triangular(stats.chol_lower, diff.T, lower=True)
+    return np.sqrt(np.sum(solved * solved, axis=0))[: len(rows)]
 
 
 def test_mahalanobis_in_place_solve_matches_three_array_formula():
@@ -261,6 +264,35 @@ def test_knn_chunking_is_invisible(monkeypatch):
         monkeypatch.setattr(ood_select, "KNN_BUFFER_BYTES", budget)
         monkeypatch.setattr(ood_select, "KNN_TILE", tile)
         assert np.array_equal(knn_distance_batch(index, queries), base)
+
+
+@given(
+    st.integers(1, 1_000),
+    st.sampled_from([8, 32, 64]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.one_of(st.just(1), st.integers(2, 40)), min_size=1, max_size=8),
+)
+@example(rows=50, dims=32, seed=0, sizes=[1, 3, 1, 17])
+def test_a_row_gets_the_bits_of_one_whole_call(rows, dims, seed, sizes):
+    """Split into batches of any sizes, lone rows included, every query row
+    gets the bits of one call over all of them: at >= 32 dims OpenBLAS
+    rounds small and one-row products differently, which the kNN product
+    floor and the doubled lone row keep out of the results."""
+    rng = np.random.default_rng(seed)
+    index = build_index(rng.standard_normal((rows, dims)))
+    stats = fit_gaussian(rng.standard_normal((3 * dims, dims)))
+    params = init_model(ModelArch(input_dims=dims, hidden=(64, dims)), seed % 997)
+    queries = rng.standard_normal((sum(sizes), dims))
+    stops = np.cumsum(sizes)
+    for score in (
+        lambda x: knn_distance_batch(index, x),
+        lambda x: mahalanobis_batch(stats, x),
+        lambda x: representations(params, x),
+    ):
+        whole = score(queries)
+        batched = np.concatenate([score(queries[stop - size : stop])
+                                  for stop, size in zip(stops, sizes)])
+        assert batched.tobytes() == whole.tobytes()
 
 
 def whole_index_distances(index, queries) -> np.ndarray:
@@ -564,6 +596,44 @@ def test_calibrate_f1_needs_ood_scores():
     ident = np.linspace(0.1, 1.0, 80)
     with pytest.raises(ConfigError):
         calibrate_thresholds(ident, ident, ThresholdPolicy(mode="f1"))
+    with pytest.raises(ConfigError, match="out-of-distribution"):
+        calibrate_thresholds(ident, ident, ThresholdPolicy(mode="f1"), [], [])
+
+
+def f1_pair_search(id_m, id_k, ood_m, ood_k, grid_points):
+    """Reference: every (d1, d2) pair of the quantile grid scored on its own;
+    the largest (F1, -flagged, d1, d2) wins."""
+    pool_m, pool_k = np.concatenate([id_m, ood_m]), np.concatenate([id_k, ood_k])
+    ood = np.arange(pool_m.size) >= id_m.size
+    levels = [(i + 1) / grid_points for i in range(grid_points)]
+    keys = []
+    for d1 in order_stat_quantile(pool_m, levels):
+        for d2 in order_stat_quantile(pool_k, levels):
+            flagged = (pool_m > d1) & (pool_k > d2)
+            tp, n_flag = np.count_nonzero(flagged & ood), np.count_nonzero(flagged)
+            keys.append((2.0 * tp / (n_flag + ood_m.size), -n_flag, d1, d2))
+    _, _, d1, d2 = max(keys)
+    return d1, min(2.0, d2)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(MIN_CALIBRATION_SAMPLES, 200),
+    st.integers(1, 150),
+    st.integers(0, 2),
+    st.integers(2, 25),
+)
+def test_calibrate_f1_matches_the_pair_search(seed, n_id, n_ood, decimals, grid_points):
+    # coarse rounding makes ties in F1, in the flagged count and in the grid
+    rng = np.random.default_rng(seed)
+    id_m = np.round(rng.gamma(2.0, size=n_id), decimals) + 1.0
+    id_k = np.round(rng.random(n_id), decimals)
+    ood_m = np.round(rng.gamma(3.0, size=n_ood), decimals) + 1.0
+    ood_k = np.round(rng.random(n_ood) + 0.3, decimals)
+    thr = calibrate_thresholds(
+        id_m, id_k, ThresholdPolicy(mode="f1", grid_points=grid_points), ood_m, ood_k
+    )
+    assert (thr.d1, thr.d2) == f1_pair_search(id_m, id_k, ood_m, ood_k, grid_points)
 
 
 def test_calibrate_f1_separates_clean_split():
