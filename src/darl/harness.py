@@ -2,9 +2,10 @@
 calibration-effect runs.
 
 One ``ExperimentConfig`` fixes everything a seed run needs; ``prepare`` does
-the shared work (corpus, pretrained backbone, selector calibration, pool
-selection) once per seed and caches it, so the ablation ladder, the budget
-sweep, and the calibration-effect report all reuse the same artifacts.
+the shared work (corpus splits, pretrained backbone, selector calibration,
+pool selection) once per seed and caches it, so the ablation ladder, the
+budget sweep, and the calibration-effect report all reuse the same
+artifacts.  The generated pool itself is not kept: only its splits are.
 
 Pool rows are split once per seed into a selection split and a held-out
 evaluation split; shifted-distribution validation and test sets are carved
@@ -34,7 +35,6 @@ from .dataset import (
     LabeledDataset,
     Origin,
     SyntheticConfig,
-    SyntheticCorpus,
     generate_pretrain_superset,
     generate_synthetic,
     merge_datasets,
@@ -118,9 +118,12 @@ def table_header(config: ExperimentConfig, seeds) -> str:
 
 @dataclass(frozen=True)
 class PreparedCorpus:
-    """Everything downstream stages share for one (config, seed) pair."""
+    """Everything downstream stages share for one (config, seed) pair: the
+    corpus splits, never the pool they were taken from."""
 
-    corpus: SyntheticCorpus
+    train_id: LabeledDataset
+    val_id: LabeledDataset
+    test_id: LabeledDataset
     backbone: ModelParams
     thresholds: OodThresholds
     select_truth: LabeledDataset
@@ -224,15 +227,19 @@ def prepare(config: ExperimentConfig, seed: int) -> PreparedCorpus:
     """Generate, pretrain, calibrate, and select for one seed (cached)."""
     cfg = config.for_seed(seed)
     corpus = generate_synthetic(cfg.corpus)
-    backbone, _ = pretrain_backbone(generate_pretrain_superset(cfg.corpus), cfg.plan)
     select_truth, val_ood, test_ood = map(
         corpus.pool_truth.take, split_pool(corpus.pool_truth, config.eval_fraction, seed)
     )
-    stats, index = fit_space(backbone, corpus.train_id)
-    thresholds = calibrate(backbone, stats, index, corpus.val_id, val_ood, config.policy)
+    train_id, val_id, test_id = corpus.train_id, corpus.val_id, corpus.test_id
+    del corpus  # the pool's last reference: it goes before anything trains or scores
+    backbone, _ = pretrain_backbone(generate_pretrain_superset(cfg.corpus), cfg.plan)
+    stats, index = fit_space(backbone, train_id)
+    thresholds = calibrate(backbone, stats, index, val_id, val_ood, config.policy)
     report, d_aug = select_rows(backbone, stats, index, thresholds, select_truth)
     return PreparedCorpus(
-        corpus=corpus,
+        train_id=train_id,
+        val_id=val_id,
+        test_id=test_id,
         backbone=backbone,
         thresholds=thresholds,
         select_truth=select_truth,
@@ -350,7 +357,7 @@ def ladder_models(
     prep = prepare(config, seed)
     plan = config.for_seed(seed).plan
     prior = config.prior()
-    train_id = prep.corpus.train_id
+    train_id = prep.train_id
     merged = merge_datasets(train_id, prep.d_aug)
 
     def single_stages():
@@ -365,7 +372,7 @@ def ladder_models(
         return phi_lp, phi_ft
 
     (row1, row2, row3), (phi_lp, phi_ft) = parallel(single_stages, probe_then_finetune)
-    sweep = alpha_sweep(phi_lp, phi_ft, plan, prep.corpus.val_id, prep.val_ood)
+    sweep = alpha_sweep(phi_lp, phi_ft, plan, prep.val_id, prep.val_ood)
     row4 = interpolate(phi_lp, phi_ft, sweep.best.alpha)
     return (row1, row2, row3, row4), sweep
 
@@ -388,9 +395,7 @@ def run_ablation(config: ExperimentConfig, seed: int) -> AblationTable:
     models, _ = ladder_models(config, seed)
     rows = []
     for rung, (label, model) in enumerate(zip(LADDER_LABELS, models), start=1):
-        pair = evaluate_model(
-            model, prep.corpus.val_id, prep.corpus.test_id, prep.test_ood
-        )
+        pair = evaluate_model(model, prep.val_id, prep.test_id, prep.test_ood)
         rows.append(AblationRow(**vars(pair), rung=rung, label=label))
     return AblationTable(seed=seed, rows=tuple(rows))
 
@@ -461,11 +466,9 @@ def budget_sweep(
 
     def row(budget: float, strategy: str, picked: np.ndarray) -> BudgetRow:
         d_aug = prep.select_truth.take(picked)
-        merged = merge_datasets(prep.corpus.train_id, d_aug)
+        merged = merge_datasets(prep.train_id, d_aug)
         model, _ = run_training(prep.backbone, merged, prior, plan, "budget")
-        pair = evaluate_model(
-            model, prep.corpus.val_id, prep.corpus.test_id, prep.test_ood
-        )
+        pair = evaluate_model(model, prep.val_id, prep.test_id, prep.test_ood)
         return BudgetRow(
             **vars(pair), budget=budget, strategy=strategy, n_aug=int(picked.size)
         )
@@ -517,7 +520,7 @@ def _occ_models(config: ExperimentConfig, seed: int) -> tuple[ModelParams, Model
     """
     prep = prepare(config, seed)
     train = partial(
-        run_training, prep.backbone, prep.corpus.train_id,
+        run_training, prep.backbone, prep.train_id,
         plan=config.for_seed(seed).plan, stage="occ",
     )
     pair = parallel(partial(train, None), partial(train, config.prior()))
@@ -528,8 +531,8 @@ def occ_effect(config: ExperimentConfig, seed: int) -> OccEffect:
     """Compare matched KL-off and KL-on score shapes on the ID test split."""
     prep = prepare(config, seed)
     model_without, model_with = _occ_models(config, seed)
-    x = prep.corpus.test_id.embeddings.data
-    grades = prep.corpus.test_id.grades
+    x = prep.test_id.embeddings.data
+    grades = prep.test_id.grades
     without = predict_scores(model_without, x)
     with_term = predict_scores(model_with, x)
     return OccEffect(

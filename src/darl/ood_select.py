@@ -233,6 +233,7 @@ def knn_distance_batch(index: NeighborIndex, x: np.ndarray) -> np.ndarray:
         if bad.size:
             raise DataFormatError(f"zero-norm query row {part.start + int(bad[0])}")
         near[:, part] = _screen(index, arr[part] / norms[:, None], width, group, screen)
+    del screen  # the exact pass never reads it, so the two buffers never overlap
     best = np.full(n, -np.inf)
     exact = np.empty(max(max(chunk, 2) * width, SMALL_PRODUCT_ENTRIES + width))
     for start in range(0, len(index.unit), width):
@@ -286,23 +287,25 @@ def save_thresholds(thresholds: OodThresholds, path) -> None:
 
 
 def load_thresholds(path) -> OodThresholds:
+    """Thresholds from a ``save_thresholds`` file: ``d1``, ``d2`` and a
+    non-null ``alpha_fpr`` are JSON numbers, ``policy`` is "fpr" or "f1"."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"invalid thresholds JSON: {exc}") from exc
     try:
-        return OodThresholds(
-            d1=float(payload["d1"]),
-            d2=float(payload["d2"]),
-            policy=str(payload["policy"]),
-            alpha_fpr=None
-            if payload.get("alpha_fpr") is None
-            else float(payload["alpha_fpr"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        values = {key: payload[key] for key in ("d1", "d2", "policy")}
+        values["alpha_fpr"] = payload.get("alpha_fpr")
+        numbers = ("d1", "d2") if values["alpha_fpr"] is None else ("d1", "d2", "alpha_fpr")
+        for key in numbers:
+            if type(values[key]) not in (int, float):  # a bool is no number here
+                raise TypeError(f"{key} must be a number, got {values[key]!r}")
+            values[key] = float(values[key])
+        if values["policy"] not in ("fpr", "f1"):
+            raise ValueError(f"policy must be 'fpr' or 'f1', got {values['policy']!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"malformed thresholds file: {exc}") from exc
+    return OodThresholds(**values)
 
 
 def _validate_scores(mahal, knn, label: str) -> tuple[np.ndarray, np.ndarray]:

@@ -82,6 +82,17 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def traced_retained(fn, *args) -> int:
+    """Bytes tracemalloc sees still allocated once ``fn(*args)`` has returned,
+    its result included: what a cache of that result would hold."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841  (alive until measured)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_no_child_left():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):

@@ -445,6 +445,11 @@ def test_directory_in_place_of_an_artifact_is_missing(
     assert "Traceback" not in err
 
 
+def _replaced(blob: bytes, **fields) -> bytes:
+    """A JSON artifact with some fields set to other values."""
+    return json.dumps({**json.loads(blob), **fields}).encode()
+
+
 @pytest.mark.parametrize(
     "argv, name, corrupt",
     [
@@ -457,11 +462,17 @@ def test_directory_in_place_of_an_artifact_is_missing(
         (["eval"], "data/test_id.tsv", lambda blob: blob + b"\xff"),
         (["select"], "thresholds.json", lambda blob: blob[:-3]),
         (["select"], "thresholds.json", lambda blob: b"{}"),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, d1=True)),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, d2="0.5")),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, alpha_fpr="0.12")),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, policy=7)),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, policy="bogus")),
     ],
     ids=[
         "checkpoint-2-bytes", "checkpoint-crc-bit", "embeddings-20-bytes",
         "checkpoint-magic", "embeddings-magic", "labels-header", "labels-not-utf8",
-        "thresholds-json", "thresholds-fields",
+        "thresholds-json", "thresholds-fields", "thresholds-bool-d1", "thresholds-text-d2",
+        "thresholds-text-alpha", "thresholds-number-policy", "thresholds-unknown-policy",
     ],
 )
 def test_load_error_names_the_file(

@@ -15,6 +15,7 @@ from conftest import (
     graded,
     make_dataset,
     traced_peak,
+    traced_retained,
 )
 
 from darl import harness, model, util
@@ -34,6 +35,7 @@ from darl.harness import (
     prepare,
     run_ablation,
     select_rows,
+    split_pool,
     table_header,
     write_ablation_tables,
     write_budget_table,
@@ -237,6 +239,38 @@ def test_select_rows_never_holds_the_pool_representations():
     assert traced_peak(select_rows, backbone, stats, index, thresholds, pool) < reps_bytes
 
 
+# a pool that dwarfs the ID splits, beside an index whose kNN buffers are
+# several MB (a 3.84 MB float32 screen, then a 1.54 MB float64 buffer)
+POOL_HEAVY = ExperimentConfig(
+    corpus=dataclasses.replace(TINY_CONFIG, dims=64, train_size=5_000, pool_size=40_000),
+    plan=TINY_PLAN,
+)
+
+
+def test_a_prepared_seed_holds_no_pool_and_scores_without_it():
+    """``prepare`` keeps the pool's splits, not the pool: a cached seed holds
+    less than the pool and its selection split together.  Training and
+    scoring run after the pool is gone, so ``prepare`` peaks no higher than
+    generating and splitting the corpus alone (1 MiB of slack)."""
+    import scipy.linalg  # noqa: F401  (loaded untraced)
+
+    cfg = POOL_HEAVY.for_seed(5)
+
+    def corpus_and_splits():
+        corpus = generate_synthetic(cfg.corpus)
+        rows = split_pool(corpus.pool_truth, cfg.eval_fraction, 5)
+        return corpus, [corpus.pool_truth.take(part) for part in rows]
+
+    corpus, (select_truth, _, _) = corpus_and_splits()
+    held = [
+        data.embeddings.data.nbytes + data.grades.nbytes + data.origin.nbytes
+        for data in (corpus.pool_truth, select_truth)
+    ]
+    assert traced_retained(prepare.__wrapped__, POOL_HEAVY, 5) < sum(held)
+    split_peak = traced_peak(corpus_and_splits)
+    assert traced_peak(prepare.__wrapped__, POOL_HEAVY, 5) < split_peak + 2**20
+
+
 # ---------------------------------------------------------------------------
 # ablation ladder
 
@@ -329,7 +363,7 @@ def test_forked_workers_match_a_serial_run_bitwise(monkeypatch, uncached):
 def test_a_diverging_stage_in_a_worker_raises_in_the_parent(monkeypatch):
     prep = prepare(SMALL, 5)
     plan = SMALL.for_seed(5).plan
-    train = partial(run_training, prep.backbone, prep.corpus.train_id, None, stage="single-stage")
+    train = partial(run_training, prep.backbone, prep.train_id, None, stage="single-stage")
     diverging = partial(train, plan=dataclasses.replace(plan, ft_lr=1e308))
     monkeypatch.setattr(util, "available_cpus", lambda: 2)
     with np.errstate(invalid="ignore"):

@@ -361,8 +361,8 @@ def test_pretrained_backbone_beats_random_init_for_probing():
     for seed in (11, 12, 13):
         prep = prepare(ExperimentConfig(), seed)
         plan = ExperimentConfig().plan
-        train_id = prep.corpus.train_id
-        val = prep.corpus.val_id
+        train_id = prep.train_id
+        val = prep.val_id
         x_val = val.embeddings.data.astype(np.float64)
 
         random_theta = init_model(prep.backbone.arch, seed)

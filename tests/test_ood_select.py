@@ -380,6 +380,19 @@ def test_knn_memory_fits_the_budget_with_the_float32_copy():
     assert peak + index.screen.nbytes <= ood_select.KNN_BUFFER_BYTES + query_bytes
 
 
+def test_knn_frees_the_screen_before_the_exact_pass():
+    """The float32 screen buffer is gone before the float64 exact buffer is
+    made: one call never holds both (7.68 and 1.54 MB at a 10,000-row index)."""
+    rng = np.random.default_rng(13)
+    dims, chunk = 32, ood_select.KNN_CHUNK
+    index = build_index(rng.standard_normal((10_000, dims)))
+    width, group = ood_select._knn_plan(index, chunk)
+    screen_bytes = 4 * chunk * group * width
+    exact_bytes = 8 * max(chunk * width, ood_select.SMALL_PRODUCT_ENTRIES + width)
+    peak = traced_peak(knn_distance_batch, index, rng.standard_normal((2 * chunk, dims)))
+    assert max(screen_bytes, exact_bytes) <= peak < screen_bytes + exact_bytes
+
+
 def test_knn_memory_when_the_float32_copy_fills_the_budget():
     """An index whose float32 copy alone fills ``KNN_BUFFER_BYTES`` is still
     screened, one tile at a time: the call holds one float64 tile and one
