@@ -90,53 +90,41 @@ class RunConfig(ExperimentConfig):
     trend_seeds: tuple[int, ...] = bounded(TREND_SEEDS, "(-inf, inf)", nonempty=True)
 
 
-def _section(name: str, section, values: dict):
-    """``section`` with ``values`` replaced; an error names ``name.field``."""
-    try:
-        return dataclasses.replace(section, **values)
-    except ConfigError as exc:
-        raise ConfigError(f"{name}.{exc.field}", exc.message) from None
+def _applied(config, values: dict, prefix: str = ""):
+    """``config`` with ``values`` replaced, checked by ``check_config``.
 
-
-def _build_config(file_values: dict, overrides: dict) -> RunConfig:
-    """Merge defaults, config-file values, and flag overrides.
-
-    A section given in the file starts from the run default of that
-    section, so keys it leaves out keep their run defaults.  The top-level
-    seed drives every section, so a section seed must repeat it.
+    A section takes a JSON object of its own fields, so the keys it leaves
+    out keep their values; an unknown key is refused, and an error names
+    ``section.field``.
     """
-    defaults = RunConfig()
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(file_values) - known
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown config key")
-    kwargs = dict(file_values)
-    for name, value in file_values.items():
-        default = getattr(defaults, name)
-        if dataclasses.is_dataclass(default):
+    known = {f.name for f in dataclasses.fields(config)}
+    changes = {}
+    for name, value in values.items():
+        if name not in known:
+            raise ConfigError(prefix + name, "unknown config key")
+        if dataclasses.is_dataclass(section := getattr(config, name)):
             if not isinstance(value, dict):
-                raise ConfigError(name, "must be a JSON object")
-            bad = set(value) - {f.name for f in dataclasses.fields(default)}
-            if bad:
-                raise ConfigError(f"{name}.{sorted(bad)[0]}", "unknown config key")
-            kwargs[name] = _section(name, default, value)
-    config = RunConfig(**kwargs)
+                raise ConfigError(prefix + name, "must be a JSON object")
+            value = _applied(section, value, f"{prefix}{name}.")
+        changes[name] = value
+    try:
+        return dataclasses.replace(config, **changes)
+    except ConfigError as exc:
+        raise ConfigError(prefix + exc.field, exc.message) from None
+
+
+def _build_config(file_values: dict, flags: dict) -> RunConfig:
+    """The run defaults with the config file's values, then the flags',
+    applied.  The top-level seed drives every section, so a section seed
+    in the file must repeat it."""
+    config = _applied(RunConfig(), file_values)
     for name in ("corpus", "plan"):
         nested = file_values.get(name, {}).get("seed", config.seed)
         if nested != config.seed:
             raise ConfigError(
                 f"{name}.seed", f"is {nested}, but the top-level seed is {config.seed}"
             )
-    seed = config.seed if overrides.get("seed") is None else overrides["seed"]
-    config = dataclasses.replace(config.for_seed(seed), seed=seed)
-    if overrides.get("rho") is not None:
-        config = dataclasses.replace(config, rho=overrides["rho"])
-    if overrides.get("fpr") is not None:
-        policy = _section("policy", config.policy, {"alpha_fpr": overrides["fpr"]})
-        config = dataclasses.replace(config, policy=policy)
-    if overrides.get("alpha") is not None:
-        config = dataclasses.replace(config, alpha=overrides["alpha"])
-    return config
+    return _applied(config.for_seed(flags.get("seed", config.seed)), flags)
 
 
 # artifact (or data/ stem) -> the subcommand that writes it; `darl pipeline`
@@ -160,13 +148,6 @@ def _json_object(path: Path) -> dict:
     if not isinstance(value, dict):
         raise DataFormatError("must hold a JSON object")
     return value
-
-
-def _best_alpha(path: Path) -> float:
-    alpha = _json_object(path).get("best_alpha")
-    if type(alpha) not in (int, float) or not 0.0 <= alpha <= 1.0:
-        raise DataFormatError(f"best_alpha must be a number in [0, 1], got {alpha!r}")
-    return alpha
 
 
 class _Run:
@@ -345,7 +326,8 @@ def _deployed_checkpoint(run: _Run):
     """The blend the run deploys: sweep-selected if present, else config alpha."""
     alpha = run.config.alpha
     if run.path("best_alpha.json").exists():
-        alpha = run.load("best_alpha.json", _best_alpha)
+        alpha = run.load("best_alpha.json", lambda path: _applied(
+            run.config, {"alpha": _json_object(path).get("best_alpha")}).alpha)
     return _blend(run, alpha), alpha
 
 
@@ -470,11 +452,10 @@ def main(argv=None) -> int:
                 raise ConfigError("config", f"cannot read {args.config} as JSON: {exc}") from None
             if not isinstance(file_values, dict):
                 raise ConfigError("config", "top level must be a JSON object")
-        overrides = {
-            "seed": args.seed, "alpha": args.alpha,
-            "rho": args.rho, "fpr": args.fpr,
-        }
-        config = _build_config(file_values, overrides)
+        flags = {"seed": args.seed, "alpha": args.alpha, "rho": args.rho,
+                 "policy": {} if args.fpr is None else {"alpha_fpr": args.fpr}}
+        flags = {name: value for name, value in flags.items() if value is not None}
+        config = _build_config(file_values, flags)
         if args.print_config:
             print(canonical_json(dataclasses.asdict(config)))
             return 0

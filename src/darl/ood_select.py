@@ -10,7 +10,7 @@ thresholds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 from typing import Literal
 
@@ -264,48 +264,25 @@ class ThresholdPolicy:
 class OodThresholds:
     """Calibrated selection thresholds plus provenance metadata."""
 
-    d1: float
-    d2: float
-    policy: str
-    alpha_fpr: float | None = None
+    d1: float = bounded(MISSING, "(0, inf)")
+    d2: float = bounded(MISSING, "[0, 2]")
+    policy: Literal["fpr", "f1"]
+    alpha_fpr: float | None = bounded(None, "[0, 1)")
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.d1) and self.d1 > 0):
-            raise ConfigError("d1", "must be finite and > 0")
-        if not (np.isfinite(self.d2) and 0.0 <= self.d2 <= 2.0):
-            raise ConfigError("d2", "must lie in [0, 2]")
+        check_config(self)
 
 
 def save_thresholds(thresholds: OodThresholds, path) -> None:
-    payload = {
-        "d1": thresholds.d1,
-        "d2": thresholds.d2,
-        "policy": thresholds.policy,
-        "alpha_fpr": thresholds.alpha_fpr,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(thresholds), indent=2) + "\n", encoding="utf-8")
 
 
 def load_thresholds(path) -> OodThresholds:
-    """Thresholds from a ``save_thresholds`` file: ``d1``, ``d2`` and a
-    non-null ``alpha_fpr`` are JSON numbers, ``policy`` is "fpr" or "f1"."""
+    """Thresholds from a ``save_thresholds`` file, checked as a config."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"invalid thresholds JSON: {exc}") from exc
-    try:
-        values = {key: payload[key] for key in ("d1", "d2", "policy")}
-        values["alpha_fpr"] = payload.get("alpha_fpr")
-        numbers = ("d1", "d2") if values["alpha_fpr"] is None else ("d1", "d2", "alpha_fpr")
-        for key in numbers:
-            if type(values[key]) not in (int, float):  # a bool is no number here
-                raise TypeError(f"{key} must be a number, got {values[key]!r}")
-            values[key] = float(values[key])
-        if values["policy"] not in ("fpr", "f1"):
-            raise ValueError(f"policy must be 'fpr' or 'f1', got {values['policy']!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return OodThresholds(**json.loads(Path(path).read_text(encoding="utf-8")))
+    except (TypeError, ValueError) as exc:  # a ConfigError is a ValueError
         raise DataFormatError(f"malformed thresholds file: {exc}") from exc
-    return OodThresholds(**values)
 
 
 def _validate_scores(mahal, knn, label: str) -> tuple[np.ndarray, np.ndarray]:

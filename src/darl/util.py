@@ -10,6 +10,8 @@ import json
 import math
 import os
 import pickle
+import sys
+import types
 import typing
 import zlib
 from typing import Any, Callable, Iterator
@@ -19,18 +21,13 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, NonFiniteValueError, WorkerError
 
 
-def sub_rng(seed: int, *tags: str | int) -> np.random.Generator:
+def sub_rng(seed: int, *tags: str) -> np.random.Generator:
     """Derive an independent generator from a master seed and a tag path.
 
     Tags are folded in via CRC32 so the derivation is stable across runs and
     platforms; distinct tag paths give statistically independent streams.
     """
-    entropy = [int(seed) & 0xFFFFFFFF]
-    for tag in tags:
-        if isinstance(tag, int):
-            entropy.append(tag & 0xFFFFFFFF)
-        else:
-            entropy.append(zlib.crc32(tag.encode("utf-8")))
+    entropy = [int(seed) & 0xFFFFFFFF, *(zlib.crc32(tag.encode("utf-8")) for tag in tags)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -49,21 +46,27 @@ def bounded(default, interval: str, nonempty: bool = False) -> Any:
 _SCALARS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number",
-            lambda v: type(v) is int or isinstance(v, float) and math.isfinite(v)),
+    float: ("a finite number", lambda v: type(v) is int and abs(v) <= sys.float_info.max
+            or isinstance(v, float) and math.isfinite(v)),
     str: ("a string", lambda v: isinstance(v, str)),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _field_rules(cls) -> dict:
-    """Field name -> (holds a tuple, what each item must be, its test);
-    ``TypeError`` for an annotation that ``check_config`` cannot check."""
+    """Field name -> (takes None, holds a tuple, what each item must be, its
+    test); ``TypeError`` for an annotation that ``check_config`` cannot check."""
     hints, rules = typing.get_type_hints(cls), {}
     for f in dataclasses.fields(cls):
-        args = typing.get_args(hints[f.name])
-        many = typing.get_origin(hints[f.name]) is tuple and args[1:] == (Ellipsis,)
-        item = args[0] if many else hints[f.name]
+        kind, args = hints[f.name], typing.get_args(hints[f.name])
+        # Optional[X] and X | None have different origins but the same args
+        optional = typing.get_origin(kind) in (typing.Union, types.UnionType) \
+            and types.NoneType in args
+        if optional:
+            kind = typing.Union[tuple(arg for arg in args if arg is not types.NoneType)]
+            args = typing.get_args(kind)
+        many = typing.get_origin(kind) is tuple and args[1:] == (Ellipsis,)
+        item = args[0] if many else kind
         choices = typing.get_args(item) if typing.get_origin(item) is typing.Literal else ()
         if item in _SCALARS:
             rule = _SCALARS[item]
@@ -73,7 +76,7 @@ def _field_rules(cls) -> dict:
             rule = " or ".join(map(repr, choices)), lambda v, t=choices: type(v) is str and v in t
         else:
             raise TypeError(f"{cls.__name__}.{f.name}: cannot check {hints[f.name]}")
-        rules[f.name] = (many, *rule)
+        rules[f.name] = (optional, many, *rule)
     return rules
 
 
@@ -81,15 +84,18 @@ def check_config(config) -> None:
     """Check every field of a frozen config dataclass; a ``ConfigError``
     names the first bad field.
 
-    bool is not int, an int is a float, a float is finite, a ``Literal`` of
-    strings takes one of them, a section is its dataclass, and a
-    ``tuple[X, ...]`` takes a list or tuple of ``X`` and stores a tuple.  A
-    ``bounded`` value, or each item, lies in its interval.  Nothing else is
-    converted: an int given for a float stays an int.
+    bool is not int, an int within the float range is a float, a float is
+    finite, a ``Literal`` of strings takes one of them, a section is its
+    dataclass, a ``tuple[X, ...]`` takes a list or tuple of ``X`` and stores
+    a tuple, and ``X | None`` (or ``Optional[X]``) takes None or an ``X``.
+    A ``bounded`` value other than None, or each item, lies in its interval.
+    Nothing else is converted: an int given for a float stays an int.
     """
     rules = _field_rules(type(config))
     for f in dataclasses.fields(config):
-        value, (many, kind, test) = getattr(config, f.name), rules[f.name]
+        value, (optional, many, kind, test) = getattr(config, f.name), rules[f.name]
+        if optional and value is None:
+            continue
         if many:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f.name, f"must be a list, got {value!r}")

@@ -205,6 +205,7 @@ def test_invalid_fpr_override_names_the_section(tmp_path, capsys):
         ({"budgets": [0.5, 1.5]}, "budgets"),
         ({"trend_seeds": []}, "trend_seeds"),
         ({"budgets": []}, "budgets"),
+        ({"corpus": {"ood_shift_norm": 10**400}}, "corpus.ood_shift_norm"),
     ],
     ids=[
         "eval_fraction-above-1", "eval_fraction-zero", "no-pool-ood", "seed",
@@ -212,7 +213,7 @@ def test_invalid_fpr_override_names_the_section(tmp_path, capsys):
         "budget-nan", "lp_lr-nan", "head_boost-inf", "alpha_grid-minus-inf",
         "plan-seed-differs", "corpus-seed-differs", "corpus-dims-zero",
         "plan-lp_lr-negative", "policy-grid_points-one", "budget-above-1",
-        "trend_seeds-empty", "budgets-empty",
+        "trend_seeds-empty", "budgets-empty", "shift-norm-past-float",
     ],
 )
 def test_bad_config_is_rejected_before_any_file(tmp_path, capsys, payload, field):
@@ -467,12 +468,18 @@ def _replaced(blob: bytes, **fields) -> bytes:
         (["select"], "thresholds.json", lambda blob: _replaced(blob, alpha_fpr="0.12")),
         (["select"], "thresholds.json", lambda blob: _replaced(blob, policy=7)),
         (["select"], "thresholds.json", lambda blob: _replaced(blob, policy="bogus")),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, alpha_fpr=float("nan"))),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, alpha_fpr=5)),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, alpha_fpr=-1)),
+        (["select"], "thresholds.json", lambda blob: _replaced(blob, bogus=1)),
     ],
     ids=[
         "checkpoint-2-bytes", "checkpoint-crc-bit", "embeddings-20-bytes",
         "checkpoint-magic", "embeddings-magic", "labels-header", "labels-not-utf8",
         "thresholds-json", "thresholds-fields", "thresholds-bool-d1", "thresholds-text-d2",
         "thresholds-text-alpha", "thresholds-number-policy", "thresholds-unknown-policy",
+        "thresholds-nan-alpha", "thresholds-alpha-above-1", "thresholds-negative-alpha",
+        "thresholds-unknown-key",
     ],
 )
 def test_load_error_names_the_file(

@@ -1,4 +1,4 @@
-"""The config schema: ``util.check_config`` checks every field of the seven
+"""The config schema: ``util.check_config`` checks every field of the eight
 config dataclasses against its annotation and its ``bounded`` interval, so
 an ill-typed or out-of-range value raises a ``ConfigError`` naming the field,
 and a well-typed value in range constructs unchanged."""
@@ -21,13 +21,15 @@ from darl.errors import ConfigError
 from darl.harness import ExperimentConfig
 from darl.lpft import StagePlan
 from darl.model import CalibrationPrior, ModelArch
-from darl.ood_select import ThresholdPolicy
+from darl.ood_select import OodThresholds, ThresholdPolicy
 from darl.util import bounded, check_config
 
 CONFIGS = (
     SyntheticConfig, StagePlan, ThresholdPolicy, ExperimentConfig, RunConfig, ModelArch,
-    CalibrationPrior,
+    CalibrationPrior, OodThresholds,
 )
+# values for the fields that have no default
+REQUIRED = {OodThresholds: {"d1": 1.0, "d2": 0.5, "policy": "fpr"}}
 FIELDS = [(cls, f.name) for cls in CONFIGS for f in dataclasses.fields(cls)]
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "darl").glob("*.py"))
 
@@ -36,12 +38,19 @@ def _field(cls, name):
     return next(f for f in dataclasses.fields(cls) if f.name == name)
 
 
+def _build(cls, **kwargs):
+    return cls(**{**REQUIRED.get(cls, {}), **kwargs})
+
+
 def _annotation(cls, name):
-    """(holds a tuple, the annotation of the value or of each item)."""
+    """(takes None, holds a tuple, the annotation of the value or of each item)."""
     kind = typing.get_type_hints(cls)[name]
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        return True, False, next(arg for arg in args if arg is not type(None))
     if typing.get_origin(kind) is tuple:
-        return True, typing.get_args(kind)[0]
-    return False, kind
+        return False, True, args[0]
+    return False, False, kind
 
 
 def _bounds(cls, name):
@@ -88,8 +97,10 @@ def _valid_item(kind, bounds):
 
 
 def _valid_value(cls, name):
-    many, kind = _annotation(cls, name)
+    optional, many, kind = _annotation(cls, name)
     item = _valid_item(kind, _bounds(cls, name))
+    if optional:
+        return item | st.none()
     if not many:
         return item
     nonempty = _field(cls, name).metadata.get("nonempty", False)
@@ -114,25 +125,26 @@ def _wrong_type(kind):
         return anything | st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf])
     if typing.get_origin(kind) is typing.Literal:
         return st.none() | st.integers() | st.text().filter(lambda v: v not in typing.get_args(kind))
-    other = st.sampled_from([c() for c in CONFIGS if c is not kind and not issubclass(c, kind)])
+    other = st.sampled_from([_build(c) for c in CONFIGS if c is not kind and not issubclass(c, kind)])
     return anything | st.integers() | other
 
 
 def _invalid_item(cls, name):
-    _, kind = _annotation(cls, name)
+    optional, _, kind = _annotation(cls, name)
     bounds = _bounds(cls, name)
-    if kind not in (int, float) or bounds[:2] == (-math.inf, math.inf):
-        return _wrong_type(kind)
-    numbers = st.integers() if kind is int else st.integers() | st.floats(
-        allow_nan=False, allow_infinity=False
-    )
-    return _wrong_type(kind) | numbers.filter(lambda v: not _inside(v, bounds))
+    bad = _wrong_type(kind)
+    if kind in (int, float) and bounds[:2] != (-math.inf, math.inf):
+        numbers = st.integers() if kind is int else st.integers() | st.floats(
+            allow_nan=False, allow_infinity=False
+        )
+        bad = bad | numbers.filter(lambda v: not _inside(v, bounds))
+    return bad.filter(lambda v: v is not None) if optional else bad
 
 
 def _invalid_cases():
     def case(cls_name):
         cls, name = cls_name
-        many, _ = _annotation(cls, name)
+        _, many, _ = _annotation(cls, name)
         bad = _invalid_item(cls, name)
         if many:
             valid = _valid_value(cls, name)
@@ -153,6 +165,7 @@ def _invalid_cases():
 @example(case=(StagePlan, "pretrain_epochs", True))
 @example(case=(StagePlan, "batch_size", 2.5))
 @example(case=(StagePlan, "lp_lr", math.nan))
+@example(case=(StagePlan, "lp_lr", 10**400))
 @example(case=(StagePlan, "seed", "x"))
 @example(case=(ThresholdPolicy, "grid_points", 2.0))
 @example(case=(ModelArch, "input_dims", 2.5))
@@ -160,10 +173,11 @@ def _invalid_cases():
 @example(case=(ExperimentConfig, "corpus", {}))
 @example(case=(ExperimentConfig, "eval_fraction", "0.2"))
 @example(case=(RunConfig, "budgets", [1.5]))
+@example(case=(OodThresholds, "alpha_fpr", math.nan))
 def test_ill_typed_or_out_of_range_values_name_the_field(case):
     cls, name, value = case
     with pytest.raises(ConfigError) as err:
-        cls(**{name: value})
+        _build(cls, **{name: value})
     assert err.value.field == name
 
 
@@ -171,7 +185,7 @@ def test_ill_typed_or_out_of_range_values_name_the_field(case):
 @given(data=st.data())
 def test_well_typed_values_in_range_construct_unchanged(cls, data):
     _, kwargs = data.draw(_valid_kwargs(cls))
-    config = cls(**kwargs)
+    config = _build(cls, **kwargs)
     for name, value in kwargs.items():
         expected = tuple(value) if isinstance(value, list) else value
         if name == "alpha_grid":
@@ -184,15 +198,15 @@ def test_well_typed_values_in_range_construct_unchanged(cls, data):
 def test_every_config_field_is_checked(cls, name):
     # a field whose annotation check_config cannot check makes cls() raise
     # TypeError, so a new field cannot go unchecked
-    cls()
+    _build(cls)
     with pytest.raises(ConfigError) as err:
-        cls(**{name: object()})
+        _build(cls, **{name: object()})
     assert err.value.field == name
 
 
 @pytest.mark.parametrize(
     "annotation",
-    [dict, object, typing.Optional[float], list[int], tuple[int, int], typing.Literal[1, 2]],
+    [dict, object, typing.Optional[dict], list[int], tuple[int, int], typing.Literal[1, 2]],
     ids=repr,
 )
 def test_an_annotation_the_checker_cannot_check_is_refused(annotation):
@@ -227,6 +241,8 @@ def test_bounded_intervals():
         third: float = bounded(0.1, "(0, 1/3)")
         counts: tuple[int, ...] = bounded((1,), "[1, inf)", nonempty=True)
         free: float = 0.0
+        maybe: float | None = bounded(None, "[0, 1)")
+        legacy: typing.Optional[int] = None
 
         def __post_init__(self):
             check_config(self)
@@ -246,6 +262,16 @@ def test_bounded_intervals():
     with pytest.raises(ConfigError, match="counts: must be in"):
         Probe(counts=[2, 0])
     assert Probe(free=-1e308).free == -1e308
-    for value in (math.nan, math.inf, -math.inf):
+    assert Probe(free=-(10**308)).free == -(10**308)
+    for value in (math.nan, math.inf, -math.inf, 10**400, -(10**400)):
         with pytest.raises(ConfigError, match="free: must be a finite number"):
             Probe(free=value)
+    assert (Probe(maybe=0.5).maybe, Probe(maybe=None).maybe) == (0.5, None)
+    assert (Probe(legacy=3).legacy, Probe(legacy=None).legacy) == (3, None)
+    with pytest.raises(ConfigError, match=r"maybe: must be in \[0, 1\), got 1"):
+        Probe(maybe=1)
+    for value in (math.nan, "0.5", False):
+        with pytest.raises(ConfigError, match="maybe: must be a finite number"):
+            Probe(maybe=value)
+    with pytest.raises(ConfigError, match="legacy: must be an integer, got 1.0"):
+        Probe(legacy=1.0)

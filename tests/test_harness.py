@@ -234,7 +234,7 @@ def test_select_rows_never_holds_the_pool_representations():
     pool = make_dataset(20_000, arch.input_dims, seed=2, prefix="pool")
     # thresholds at the pool's own 90th percentiles select under a tenth of it
     mahal, knn = harness._distances(backbone, stats, index, pool)  # loads scipy untraced
-    thresholds = OodThresholds(float(np.quantile(mahal, 0.9)), float(np.quantile(knn, 0.9)), "q")
+    thresholds = OodThresholds(float(np.quantile(mahal, 0.9)), float(np.quantile(knn, 0.9)), "fpr")
     reps_bytes = pool.rows * arch.rep_dims * 8
     assert traced_peak(select_rows, backbone, stats, index, thresholds, pool) < reps_bytes
 

@@ -694,7 +694,7 @@ def test_select_strict_thresholds_are_empty():
     index = build_index(train)
     # d2 = 2 can never be strictly exceeded; nothing selects
     report = select_ood(
-        *scored(pool, stats, index), OodThresholds(1e18, 2.0, "manual"), row_ids(pool)
+        *scored(pool, stats, index), OodThresholds(1e18, 2.0, "fpr"), row_ids(pool)
     )
     assert report.selected.sum() == 0
     assert report.selected_indices.size == 0
@@ -705,7 +705,7 @@ def test_select_loose_thresholds_take_everything_far():
     stats = fit_gaussian(train)
     index = build_index(train)
     report = select_ood(
-        *scored(pool, stats, index), OodThresholds(1e-12, 0.0, "manual"), row_ids(pool)
+        *scored(pool, stats, index), OodThresholds(1e-12, 0.0, "fpr"), row_ids(pool)
     )
     # rows at +40 sigma clear any near-zero threshold on both axes
     assert set(far_rows).issubset(set(report.selected_indices))
@@ -718,7 +718,7 @@ def test_select_flags_compose_by_and():
     train, pool, _ = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    thr = OodThresholds(3.0, 0.05, "manual")
+    thr = OodThresholds(3.0, 0.05, "fpr")
     report = select_ood(*scored(pool, stats, index), thr, row_ids(pool))
     np.testing.assert_array_equal(report.mahal > thr.d1, report.flag_mahal)
     np.testing.assert_array_equal(report.knn > thr.d2, report.flag_knn)
@@ -731,7 +731,7 @@ def test_select_is_row_order_independent():
     train, pool, _ = planted_pool()
     stats = fit_gaussian(train)
     index = build_index(train)
-    thr = OodThresholds(3.0, 0.05, "manual")
+    thr = OodThresholds(3.0, 0.05, "fpr")
     ids = row_ids(pool)
     perm = np.random.default_rng(9).permutation(pool.shape[0])
     direct = select_ood(*scored(pool, stats, index), thr, ids=ids)
@@ -748,10 +748,10 @@ def test_raising_thresholds_never_adds_rows():
     stats = fit_gaussian(train)
     index = build_index(train)
     loose = select_ood(
-        *scored(pool, stats, index), OodThresholds(2.0, 0.02, "manual"), row_ids(pool)
+        *scored(pool, stats, index), OodThresholds(2.0, 0.02, "fpr"), row_ids(pool)
     )
     tight = select_ood(
-        *scored(pool, stats, index), OodThresholds(4.0, 0.10, "manual"), row_ids(pool)
+        *scored(pool, stats, index), OodThresholds(4.0, 0.10, "fpr"), row_ids(pool)
     )
     assert set(tight.selected_indices).issubset(set(loose.selected_indices))
 
@@ -759,7 +759,7 @@ def test_raising_thresholds_never_adds_rows():
 def test_select_ood_dimension_check():
     train, pool, _ = planted_pool()
     mahal, knn = scored(pool, fit_gaussian(train), build_index(train))
-    thr = OodThresholds(3.0, 0.05, "manual")
+    thr = OodThresholds(3.0, 0.05, "fpr")
     with pytest.raises(DimensionMismatchError, match="disagree"):
         select_ood(mahal[:-1], knn, thr, row_ids(pool)[:-1])
 
@@ -807,7 +807,7 @@ def test_dasa_top_row_is_far_on_both_axes():
     stats = fit_gaussian(train)
     index = build_index(train)
     report = select_ood(
-        *scored(pool, stats, index), OodThresholds(1.0, 0.0, "manual"), row_ids(pool)
+        *scored(pool, stats, index), OodThresholds(1.0, 0.0, "fpr"), row_ids(pool)
     )
     order = dasa_order(report.mahal, report.knn)
     assert order[0] in set(far_rows)
@@ -822,7 +822,7 @@ def test_score_report_round_trip(tmp_path):
     stats = fit_gaussian(train)
     index = build_index(train)
     ids = tuple(f"p{i:03d}" for i in range(pool.shape[0]))
-    report = select_ood(*scored(pool, stats, index), OodThresholds(3.0, 0.05, "manual"), ids=ids)
+    report = select_ood(*scored(pool, stats, index), OodThresholds(3.0, 0.05, "fpr"), ids=ids)
     path = tmp_path / "scores.tsv"
     write_score_report(report, path)
     lines = path.read_text(encoding="utf-8").splitlines()

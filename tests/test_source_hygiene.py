@@ -248,6 +248,23 @@ def test_only_distances_scores():
     assert callers == []
 
 
+def test_only_util_tests_number_types():
+    # util.check_config is the one schema for every JSON value darl reads, so
+    # a reader that compares type(value) with int or float by hand cannot
+    # drift from its rules (bool is no number, a float is finite and in range)
+    found = []
+    for path in SOURCES:
+        if path.name == "util.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Call) and ast.unparse(side.func) == "type"
+                for side in (node.left, *node.comparators)
+            ) and {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & {"int", "float"}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_scipy_loads_at_the_first_mahalanobis_distance():
     # scipy.linalg is most of the CLI's start-up time and only
     # mahalanobis_batch uses it, so importing darl must not load scipy

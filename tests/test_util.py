@@ -49,9 +49,9 @@ def test_sub_rng_tag_paths_are_independent():
     assert not np.array_equal(base, other_seed)
 
 
-def test_sub_rng_accepts_int_tags():
-    a = sub_rng(3, "split", 0).random(4)
-    b = sub_rng(3, "split", 1).random(4)
+def test_sub_rng_sibling_tags_differ():
+    a = sub_rng(3, "split", "0").random(4)
+    b = sub_rng(3, "split", "1").random(4)
     assert not np.array_equal(a, b)
 
 
